@@ -9,6 +9,7 @@ from .gf import GF
 from .heisenberg import BudgetExceeded, closed_form, count_points, dimension_fit
 from .modules import (
     FpModule,
+    ModuleLibrary,
     Undecided,
     decompose,
     dump_text,
@@ -37,6 +38,7 @@ from .sl2 import (
     build_verma_r1,
     build_verma_r2,
     frobenius_twist,
+    library,
     rank_variety_scan,
     run_sl2_suites,
     steinberg,
@@ -63,6 +65,7 @@ __all__ = [
     "count_points",
     "dimension_fit",
     "FpModule",
+    "ModuleLibrary",
     "Undecided",
     "decompose",
     "dump_text",
@@ -87,6 +90,7 @@ __all__ = [
     "build_verma_r1",
     "build_verma_r2",
     "frobenius_twist",
+    "library",
     "rank_variety_scan",
     "run_sl2_suites",
     "steinberg",

@@ -8,6 +8,7 @@ integer a + p*b in [0, p^2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,16 @@ class GF:
             raise ValueError(f"unsupported extension degree k = {self.k}")
         if self.k == 2 and self.p == 2:
             raise ValueError("quadratic extension of F_2 not supported")
+
+    @classmethod
+    def from_q(cls, q: int) -> GF:
+        """The field with q elements; q must be a prime or the square of an odd prime."""
+        if is_prime(q):
+            return cls(q)
+        root = math.isqrt(q)
+        if root * root == q and root > 2 and is_prime(root):
+            return cls(root, 2)
+        raise ValueError(f"q = {q} must be a prime or the square of an odd prime")
 
     @property
     def q(self) -> int:
@@ -169,7 +180,9 @@ class GF:
             R[r] %= p
             pivot_inv = pow(int(R[r, c]), p - 2, p)
             R[r] = (R[r] * pivot_inv) % p
-            factors = R[:, c].copy()
+            # rows above r never had column c reduced; an unreduced factor
+            # would multiply their accumulated growth and break the bound
+            factors = R[:, c] % p
             factors[r] = 0
             nzrows = np.nonzero(factors)[0]
             if nzrows.size:

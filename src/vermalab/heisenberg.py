@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .gf import GF, is_prime
+from .gf import GF
 
 ENUMERATION_BUDGET = 10**9
 
@@ -38,15 +38,6 @@ class PointCount:
         return {"q": self.q, "count": self.count}
 
 
-def _field_for(q: int) -> GF:
-    if is_prime(q):
-        return GF(q)
-    root = math.isqrt(q)
-    if root * root == q and root > 2 and is_prime(root):
-        return GF(root, 2)
-    raise ValueError(f"q = {q} must be a prime or the square of an odd prime")
-
-
 def count_points(r: int, q: int) -> PointCount:
     """Exact point count of the commuting variety over F_q.
 
@@ -56,7 +47,7 @@ def count_points(r: int, q: int) -> PointCount:
     """
     if r < 1:
         raise ValueError(f"r = {r} must be at least 1")
-    f = _field_for(q)
+    f = GF.from_q(q)
     if q ** (2 * r) > ENUMERATION_BUDGET:
         raise BudgetExceeded(
             f"enumerating q^(2r) = {q**(2*r)} pairs exceeds the {ENUMERATION_BUDGET} budget"

@@ -14,10 +14,11 @@ certificate that is re-verified on the spot or raise Undecided.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -249,54 +250,79 @@ def quotient_by_columns(m: FpModule, cols) -> tuple[FpModule, np.ndarray, np.nda
     return quot, projection, section
 
 
-def _assert_absolutely_simple(s: FpModule):
-    if len(hom_space(s, s)) != 1:
-        raise ValueError("simple module has endomorphism ring larger than the field")
+@dataclass(frozen=True, eq=False)
+class ModuleLibrary:
+    """Simple modules and their projective covers, keyed by name.
+
+    Validated once, on construction: every module shares one field and
+    one label set, every simple is absolutely simple (its endomorphisms
+    are the scalars), and every projective is keyed by a simple.  The
+    homological functions below rely on this and check nothing again.
+    A library without projectives serves for tops, radicals and socles.
+    """
+
+    simples: Mapping[str, FpModule]
+    projectives: Mapping[str, FpModule] = field(default_factory=dict)
+
+    def __post_init__(self):
+        # private copies, so the validated contents cannot change later
+        object.__setattr__(self, "simples", MappingProxyType(dict(self.simples)))
+        object.__setattr__(self, "projectives", MappingProxyType(dict(self.projectives)))
+        if not self.simples:
+            raise ValueError("a module library needs at least one simple")
+        first = next(iter(self.simples.values()))
+        for mod in [*self.simples.values(), *self.projectives.values()]:
+            _check_same_schema(first, mod)
+        stray = sorted(set(self.projectives) - set(self.simples))
+        if stray:
+            raise ValueError(f"projectives {stray} are keyed by no simple")
+        for key, s in self.simples.items():
+            if len(hom_space(s, s)) != 1:
+                raise ValueError(f"simple {key} is not absolutely simple: End is not the field")
 
 
-def radical_submodule(m: FpModule, simples: dict[str, FpModule]) -> np.ndarray:
+def _homs_to_simples(m: FpModule, lib: ModuleLibrary) -> dict[str, list[np.ndarray]]:
+    """Basis of Hom(m, S) for every simple S: the one pass that tops and radicals share."""
+    return {key: hom_space(m, s) for key, s in lib.simples.items()}
+
+
+def _multiplicities(homs: dict[str, list[np.ndarray]]) -> dict[str, int]:
+    # the simples are absolutely simple, so dim Hom(m, S) is the multiplicity
+    # of S in the top of m, and dim Hom(S, m) its multiplicity in the socle
+    return {key: len(hs) for key, hs in homs.items() if hs}
+
+
+def _common_kernel(m: FpModule, homs: dict[str, list[np.ndarray]]) -> np.ndarray:
+    rows = [h for hs in homs.values() for h in hs]
+    if not rows:
+        return m.field.identity(m.dim)
+    return m.field.nullspace(np.vstack(rows))
+
+
+def radical_submodule(m: FpModule, lib: ModuleLibrary) -> np.ndarray:
     """Columns spanning the intersection of kernels of all maps to simples.
 
-    Correct only when the simples dictionary is complete for the
+    Correct only when the library's simples are complete for the
     algebra at hand.
     """
-    f = m.field
-    rows = []
-    for s in simples.values():
-        for h in hom_space(m, s):
-            rows.append(h)
-    if not rows:
-        return f.identity(m.dim)
-    return f.nullspace(np.vstack(rows))
+    return _common_kernel(m, _homs_to_simples(m, lib))
 
 
-def top_multiplicities(m: FpModule, simples: dict[str, FpModule]) -> dict[str, int]:
-    out = {}
-    for label, s in simples.items():
-        _assert_absolutely_simple(s)
-        count = len(hom_space(m, s))
-        if count:
-            out[label] = count
-    return out
+def top_multiplicities(m: FpModule, lib: ModuleLibrary) -> dict[str, int]:
+    return _multiplicities(_homs_to_simples(m, lib))
 
 
-def socle_submodule(m: FpModule, simples: dict[str, FpModule]) -> np.ndarray:
+def socle_submodule(m: FpModule, lib: ModuleLibrary) -> np.ndarray:
     f = m.field
     blocks = [f.zeros(m.dim, 0)]
-    for s in simples.values():
+    for s in lib.simples.values():
         for h in hom_space(s, m):
             blocks.append(h)
     return f.column_space_basis(np.hstack(blocks))
 
 
-def socle_multiplicities(m: FpModule, simples: dict[str, FpModule]) -> dict[str, int]:
-    out = {}
-    for label, s in simples.items():
-        _assert_absolutely_simple(s)
-        count = len(hom_space(s, m))
-        if count:
-            out[label] = count
-    return out
+def socle_multiplicities(m: FpModule, lib: ModuleLibrary) -> dict[str, int]:
+    return _multiplicities({key: hom_space(s, m) for key, s in lib.simples.items()})
 
 
 # -- projective covers and syzygies -------------------------------------
@@ -308,9 +334,7 @@ class ProjectiveCover:
     summand_labels: list[str]
 
 
-def projective_cover(
-    m: FpModule, simples: dict[str, FpModule], projectives: dict[str, FpModule]
-) -> ProjectiveCover:
+def projective_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
     """Minimal projective cover, assembled summand by summand.
 
     The chosen maps induce an isomorphism on tops, which is what makes
@@ -319,22 +343,23 @@ def projective_cover(
     f = m.field
     if m.dim == 0:
         return ProjectiveCover(zero_module_like(m), f.zeros(0, 0), [])
-    tops = top_multiplicities(m, simples)
+    homs = _homs_to_simples(m, lib)
+    tops = _multiplicities(homs)
     if not tops:
         raise ValueError("nonzero module with zero top; simples list incomplete?")
     for label in tops:
-        if label not in projectives:
+        if label not in lib.projectives:
             raise MissingProjective(label)
-    rad = radical_submodule(m, simples)
+    rad = _common_kernel(m, homs)
     _, q, _ = quotient_by_columns(m, rad)
     tdim = q.shape[0]
     chosen: list[tuple[str, np.ndarray]] = []
     covered = f.zeros(tdim, 0)
     for label in sorted(tops):
         want = tops[label]
-        sdim = simples[label].dim
+        sdim = lib.simples[label].dim
         got = 0
-        for phi in hom_space(projectives[label], m):
+        for phi in hom_space(lib.projectives[label], m):
             if got == want:
                 break
             trial = f.column_space_basis(np.hstack([covered, f.matmul(q, phi)]))
@@ -343,7 +368,7 @@ def projective_cover(
                 chosen.append((label, phi))
                 got += 1
         assert got == want, f"could not reach top multiplicity for {label}"
-    cover = direct_sum([projectives[label] for label, _ in chosen])
+    cover = direct_sum([lib.projectives[label] for label, _ in chosen])
     theta = np.hstack([phi for _, phi in chosen])
     assert f.rank(theta) == m.dim, "cover map is not surjective"
     for label in m.labels:
@@ -360,11 +385,9 @@ class SyzygyData:
     cover: ProjectiveCover
 
 
-def syzygy(
-    m: FpModule, simples: dict[str, FpModule], projectives: dict[str, FpModule]
-) -> SyzygyData:
+def syzygy(m: FpModule, lib: ModuleLibrary) -> SyzygyData:
     """Kernel of a minimal projective cover."""
-    cover = projective_cover(m, simples, projectives)
+    cover = projective_cover(m, lib)
     f = m.field
     kernel = f.nullspace(cover.map) if cover.module.dim else f.zeros(0, 0)
     omega, incl = submodule_from_columns(cover.module, kernel)
@@ -372,12 +395,7 @@ def syzygy(
     return SyzygyData(omega, incl, cover)
 
 
-def ext1_dim(
-    m: FpModule,
-    n: FpModule,
-    simples: dict[str, FpModule],
-    projectives: dict[str, FpModule],
-) -> int:
+def ext1_dim(m: FpModule, n: FpModule, lib: ModuleLibrary) -> int:
     """Dimension of the first extension group of m by n.
 
     Classes live in Hom(syzygy, n); the ones that extend to the cover
@@ -385,7 +403,7 @@ def ext1_dim(
     cover maps kill the syzygy (it sits inside the radical), so the
     subtraction is a no-op in that case.
     """
-    syz = syzygy(m, simples, projectives)
+    syz = syzygy(m, lib)
     homs = hom_space(syz.module, n)
     if not homs:
         return 0
@@ -404,16 +422,14 @@ def ext1_coboundaries(syz: SyzygyData, n: FpModule) -> list:
     return [f.matmul(h, syz.inclusion) for h in hom_space(syz.cover.module, n)]
 
 
-def is_projective_module(
-    m: FpModule, simples: dict[str, FpModule], projectives: dict[str, FpModule]
-) -> bool:
+def is_projective_module(m: FpModule, lib: ModuleLibrary) -> bool:
     """True iff every first extension group against a simple vanishes.
 
     Equivalent formulation used here: the syzygy of a minimal cover is
     zero.  A nonzero syzygy has a nonzero top, hence a nonzero
     extension group against some simple; a zero syzygy kills them all.
     """
-    return syzygy(m, simples, projectives).module.dim == 0
+    return syzygy(m, lib).module.dim == 0
 
 
 # -- extensions ----------------------------------------------------------
@@ -893,13 +909,7 @@ def parse_text(text: str) -> FpModule:
     dim = int(fields["dim"])
     q = int(fields["q"])
     labels = [l for l in fields["labels"].split(",") if l]
-    if is_prime(q):
-        gf = GF(q)
-    else:
-        p = math.isqrt(q)
-        if p * p != q or not is_prime(p):
-            raise ValueError(f"q = {q} is not a prime or a prime square")
-        gf = GF(p, 2)
+    gf = GF.from_q(q)
     expected = 1 + dim * len(labels)
     if len(lines) != expected:
         raise ValueError(f"expected {expected} lines, found {len(lines)}")

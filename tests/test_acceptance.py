@@ -25,12 +25,9 @@ from vermalab.sl2 import (
     build_verma_r1,
     build_verma_r2,
     frobenius_twist,
-    hyper_projectives,
-    hyper_simples,
+    library,
     rank_variety_scan,
     restricted_as_r2,
-    restricted_projectives,
-    restricted_simples,
     simple_key,
     steinberg,
     tensor,
@@ -79,11 +76,11 @@ def _check_witness(res, left, right) -> None:
         assert np.array_equal(f.matmul(t, left.ops[g]), f.matmul(right.ops[g], t))
 
 
-def _ext_dims_to_simples(syz, simples):
+def _ext_dims_to_simples(syz, lib):
     """Extension dimensions against every simple, from one syzygy."""
     f = syz.module.field
     out = {}
-    for key, s in simples.items():
+    for key, s in lib.simples.items():
         homs = hom_space(syz.module, s)
         if not homs:
             out[key] = 0
@@ -124,22 +121,20 @@ def test_criterion_02_projectivity_three_ways():
         rs = build_root_system(A1)
         for p in (3, 5):
             schema1 = Sl2Schema(p, 1)
-            simples1 = restricted_simples(p)
-            covers1 = restricted_projectives(p)
+            lib1 = library(p, 1)
             for lam in range(p):
                 z = build_verma_r1(schema1, lam)
                 arithmetic = is_projective_verma(rs, (lam,), p, 1)
-                exts = _ext_dims_to_simples(syzygy(z, simples1, covers1), simples1)
+                exts = _ext_dims_to_simples(syzygy(z, lib1), lib1)
                 homological = all(v == 0 for v in exts.values())
                 scan_empty = len(rank_variety_scan(z, p).points) == 0
                 assert arithmetic == homological == scan_empty
             schema2 = Sl2Schema(p, 2)
-            simples2 = hyper_simples(p)
-            covers2 = hyper_projectives(p)
+            lib2 = library(p, 2)
             for lam in range(p * p):
                 z = build_verma_r2(schema2, lam)
                 arithmetic = is_projective_verma(rs, (lam,), p, 2)
-                exts = _ext_dims_to_simples(syzygy(z, simples2, covers2), simples2)
+                exts = _ext_dims_to_simples(syzygy(z, lib2), lib2)
                 homological = all(v == 0 for v in exts.values())
                 assert arithmetic == homological
         elapsed = time.perf_counter() - start
@@ -174,12 +169,11 @@ def test_criterion_04_syzygy_periodicity():
     with criterion(4, "second syzygy of every non-projective level-1 Verma is the module itself"):
         for p in (3, 5):
             schema = Sl2Schema(p, 1)
-            simples = restricted_simples(p)
-            covers = restricted_projectives(p)
+            lib = library(p, 1)
             for lam in range(p - 1):
                 z = build_verma_r1(schema, lam)
-                o1 = syzygy(z, simples, covers)
-                o2 = syzygy(o1.module, simples, covers)
+                o1 = syzygy(z, lib)
+                o2 = syzygy(o1.module, lib)
                 res = is_isomorphic(o2.module, z)
                 _check_witness(res, o2.module, z)
 
@@ -274,15 +268,14 @@ def test_criterion_10_block_partition_matches_ext_linkage():
     with criterion(10, "block membership partition equals Ext-linkage components at p=5"):
         p = 5
         rs = build_root_system(A1)
-        simples = restricted_simples(p)
-        covers = restricted_projectives(p)
+        lib = library(p, 1)
 
         linked = {a: {a} for a in range(p)}
         for a in range(p):
             for b in range(p):
-                la = simples[simple_key(a)]
-                lb = simples[simple_key(b)]
-                if a != b and ext1_dim(la, lb, simples, covers) > 0:
+                la = lib.simples[simple_key(a)]
+                lb = lib.simples[simple_key(b)]
+                if a != b and ext1_dim(la, lb, lib) > 0:
                     linked[a].add(b)
                     linked[b].add(a)
         changed = True

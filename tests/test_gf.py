@@ -85,6 +85,21 @@ def test_rref_idempotent_and_rank(F, n, m, seed):
         assert len(pivots) == oracles.mat_rank(np_to_lists(A), F.p)
 
 
+def test_rref_dense_large_matches_oracle():
+    # dense inputs big enough that unreduced elimination factors used to
+    # overflow int64; the hypothesis tests above stop at 7x7
+    rng = np.random.default_rng(0)
+    for p in (5, 7, 11):
+        F = GF(p)
+        for n in (80, 120):
+            for _ in range(4):
+                A = rng.integers(0, p, size=(n, n))
+                R, pivots = F.rref(A)
+                want, want_pivots = oracles.mat_rref(np_to_lists(A), p)
+                assert pivots == want_pivots
+                assert np_to_lists(R) == want
+
+
 @settings(max_examples=60)
 @given(fields, st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
 def test_nullspace_annihilates(F, n, m, seed):

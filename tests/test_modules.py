@@ -8,6 +8,7 @@ from vermalab.gf import GF
 from vermalab.modules import (
     FpModule,
     MissingProjective,
+    ModuleLibrary,
     SchemaMismatch,
     Undecided,
     algebra_radical,
@@ -57,9 +58,7 @@ def jordan(p, *sizes):
 
 
 def jordan_world(p):
-    simples = {"k": jordan(p, 1)}
-    projectives = {"k": jordan(p, p)}
-    return simples, projectives
+    return ModuleLibrary({"k": jordan(p, 1)}, {"k": jordan(p, p)})
 
 
 def conjugate(mod, seed):
@@ -148,24 +147,40 @@ def test_hom_with_zero_module():
 
 # -- radical, top, socle -------------------------------------------------
 
+def test_library_rejects_invalid_contents():
+    # t^2 = -1 over F_3: simple, but End is F_9, so not absolutely simple
+    rotation = FpModule(GF(3), 2, {"t": np.array([[0, 2], [1, 0]], dtype=np.int64)})
+    with pytest.raises(ValueError, match="absolutely simple"):
+        ModuleLibrary({"k": rotation})
+    with pytest.raises(ValueError):
+        ModuleLibrary({"k": jordan(3, 1), "j": jordan(5, 1)})
+    with pytest.raises(ValueError):
+        ModuleLibrary({"k": jordan(3, 1), "s": FpModule(GF(3), 1, {"s": np.zeros((1, 1))})})
+    with pytest.raises(ValueError):
+        ModuleLibrary({"k": jordan(3, 1)}, {"k": jordan(3, 3), "x": jordan(3, 3)})
+    with pytest.raises(ValueError):
+        ModuleLibrary({"k": jordan(3, 1)}, {"k": jordan(5, 5)})
+
+
+
 def test_radical_and_top_of_blocks():
     p = 5
-    simples, _ = jordan_world(p)
+    lib = jordan_world(p)
     for n in range(1, p + 1):
         m = jordan(p, n)
-        rad = radical_submodule(m, simples)
+        rad = radical_submodule(m, lib)
         assert rad.shape[1] == n - 1
-        assert top_multiplicities(m, simples) == {"k": 1}
+        assert top_multiplicities(m, lib) == {"k": 1}
     m = jordan(p, 2, 3)
-    assert radical_submodule(m, simples).shape[1] == 3
-    assert top_multiplicities(m, simples) == {"k": 2}
+    assert radical_submodule(m, lib).shape[1] == 3
+    assert top_multiplicities(m, lib) == {"k": 2}
 
 
 def test_socle_of_blocks():
     p = 5
-    simples, _ = jordan_world(p)
-    assert socle_submodule(jordan(p, 4), simples).shape[1] == 1
-    assert socle_multiplicities(jordan(p, 2, 3), simples) == {"k": 2}
+    lib = jordan_world(p)
+    assert socle_submodule(jordan(p, 4), lib).shape[1] == 1
+    assert socle_multiplicities(jordan(p, 2, 3), lib) == {"k": 2}
 
 
 # -- submodules and quotients -------------------------------------------
@@ -200,71 +215,71 @@ def test_unstable_columns_rejected():
 
 def test_projective_cover_of_blocks():
     p = 5
-    simples, projectives = jordan_world(p)
+    lib = jordan_world(p)
     for n in (1, 2, 4, 5):
-        cover = projective_cover(jordan(p, n), simples, projectives)
+        cover = projective_cover(jordan(p, n), lib)
         assert cover.module.dim == p
         assert cover.summand_labels == ["k"]
-    cover = projective_cover(jordan(p, 2, 3), simples, projectives)
+    cover = projective_cover(jordan(p, 2, 3), lib)
     assert cover.module.dim == 2 * p
     assert cover.summand_labels == ["k", "k"]
 
 
 def test_syzygy_dims_and_heller_periodicity():
     p = 5
-    simples, projectives = jordan_world(p)
+    lib = jordan_world(p)
     for n in range(1, p):
-        omega = syzygy(jordan(p, n), simples, projectives)
+        omega = syzygy(jordan(p, n), lib)
         assert omega.module.dim == p - n
-        omega2 = syzygy(omega.module, simples, projectives)
+        omega2 = syzygy(omega.module, lib)
         assert bool(is_isomorphic(omega2.module, jordan(p, n)))
 
 
 def test_syzygy_additive_over_direct_sums():
     p = 5
-    simples, projectives = jordan_world(p)
+    lib = jordan_world(p)
     m = jordan(p, 2, 4)
-    omega = syzygy(m, simples, projectives)
+    omega = syzygy(m, lib)
     assert omega.module.dim == (p - 2) + (p - 4)
 
 
 def test_ext1_and_projectivity():
     p = 5
-    simples, projectives = jordan_world(p)
-    triv = simples["k"]
+    lib = jordan_world(p)
+    triv = lib.simples["k"]
     for n in range(1, p):
-        assert ext1_dim(jordan(p, n), triv, simples, projectives) == 1
-        assert not is_projective_module(jordan(p, n), simples, projectives)
-    assert ext1_dim(jordan(p, p), triv, simples, projectives) == 0
-    assert is_projective_module(jordan(p, p), simples, projectives)
-    assert is_projective_module(jordan(p, p, p), simples, projectives)
-    assert not is_projective_module(jordan(p, p, 2), simples, projectives)
+        assert ext1_dim(jordan(p, n), triv, lib) == 1
+        assert not is_projective_module(jordan(p, n), lib)
+    assert ext1_dim(jordan(p, p), triv, lib) == 0
+    assert is_projective_module(jordan(p, p), lib)
+    assert is_projective_module(jordan(p, p, p), lib)
+    assert not is_projective_module(jordan(p, p, 2), lib)
 
 
 def test_ext1_general_target_subtracts_coboundaries():
     # over k[t]/(t^p): dim Ext^1(J_a, J_b) = min(a, b, p-a, p-b)
     p = 5
-    simples, projectives = jordan_world(p)
+    lib = jordan_world(p)
     for a in range(1, p + 1):
         for b in range(1, p + 1):
-            got = ext1_dim(jordan(p, a), jordan(p, b), simples, projectives)
+            got = ext1_dim(jordan(p, a), jordan(p, b), lib)
             assert got == min(a, b, p - a, p - b)
 
 
 def test_missing_projective():
     p = 3
-    simples, _ = jordan_world(p)
+    lib = jordan_world(p)
     with pytest.raises(MissingProjective):
-        projective_cover(jordan(p, 2), simples, {})
+        projective_cover(jordan(p, 2), ModuleLibrary(lib.simples))
 
 
 # -- extensions ----------------------------------------------------------
 
 def test_extension_nonzero_cocycle_glues():
     p = 5
-    simples, projectives = jordan_world(p)
+    lib = jordan_world(p)
     triv = jordan(p, 1)
-    syz = syzygy(triv, simples, projectives)
+    syz = syzygy(triv, lib)
     cocycles = hom_space(syz.module, triv)
     assert len(cocycles) == 1
     ext = build_extension(triv, syz, cocycles[0])
@@ -274,9 +289,9 @@ def test_extension_nonzero_cocycle_glues():
 
 def test_extension_zero_cocycle_splits():
     p = 5
-    simples, projectives = jordan_world(p)
+    lib = jordan_world(p)
     triv = jordan(p, 1)
-    syz = syzygy(triv, simples, projectives)
+    syz = syzygy(triv, lib)
     zero = np.zeros((1, syz.module.dim), dtype=np.int64)
     ext = build_extension(triv, syz, zero)
     assert bool(is_isomorphic(ext.module, jordan(p, 1, 1)))
@@ -521,7 +536,7 @@ def test_hom_dim_symmetric_for_symmetric_algebra(sizes_m, sizes_n, seed):
 @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=2), seed=st.integers(0, 30))
 def test_syzygy_dim_is_cover_minus_module(sizes, seed):
     p = 5
-    simples, projectives = jordan_world(p)
+    lib = jordan_world(p)
     m = conjugate(jordan(p, *sizes), seed)
-    syz = syzygy(m, simples, projectives)
+    syz = syzygy(m, lib)
     assert syz.module.dim == syz.cover.module.dim - m.dim

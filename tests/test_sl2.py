@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vermalab.modules
 from oracles import intertwiner_basis
 from vermalab.gf import GF
 from vermalab.modules import (
+    ModuleLibrary,
     SchemaMismatch,
     ext1_dim,
     hom_space,
@@ -26,12 +28,14 @@ from vermalab.sl2 import (
     DimensionNotDivisible,
     Sl2Schema,
     UnsupportedPrime,
+    _finish,
     binom_mod,
     build_simple,
     build_verma_r1,
     build_verma_r2,
     frobenius_twist,
     hyper_simples,
+    library,
     lifted_projectives,
     rank_variety_scan,
     restrict_to_r1,
@@ -124,9 +128,9 @@ def test_top_weight_simple_is_steinberg():
 def test_simples_have_zero_radical():
     for p in (3, 5):
         s = Sl2Schema(p, 1)
-        simples = restricted_simples(p)
+        lib = ModuleLibrary(restricted_simples(p))
         for m in range(p):
-            assert radical_submodule(build_simple(s, m), simples).shape[1] == 0
+            assert radical_submodule(build_simple(s, m), lib).shape[1] == 0
 
 
 def test_builder_range_errors():
@@ -159,23 +163,23 @@ def test_verma_r1_composition_series_frozen():
     # p=5, weight 2: top L(2), radical is a copy of L(1)
     p = 5
     s = Sl2Schema(p, 1)
-    simples = restricted_simples(p)
+    lib = ModuleLibrary(restricted_simples(p))
     z = build_verma_r1(s, 2)
     assert z.dim == p
-    assert top_multiplicities(z, simples) == {"L2": 1}
-    rad, _ = submodule_from_columns(z, radical_submodule(z, simples))
+    assert top_multiplicities(z, lib) == {"L2": 1}
+    rad, _ = submodule_from_columns(z, radical_submodule(z, lib))
     assert rad.dim == 2
-    assert top_multiplicities(rad, simples) == {"L1": 1}
-    assert radical_submodule(rad, simples).shape[1] == 0
+    assert top_multiplicities(rad, lib) == {"L1": 1}
+    assert radical_submodule(rad, lib).shape[1] == 0
 
 
 def test_verma_socle_is_reflected_weight():
     for p in (3, 5):
         s = Sl2Schema(p, 1)
-        simples = restricted_simples(p)
+        lib = ModuleLibrary(restricted_simples(p))
         for lam in range(p - 1):
             z = build_verma_r1(s, lam)
-            assert socle_multiplicities(z, simples) == {simple_key(p - 2 - lam): 1}
+            assert socle_multiplicities(z, lib) == {simple_key(p - 2 - lam): 1}
 
 
 def test_verma_endomorphisms_are_scalars():
@@ -210,31 +214,48 @@ def test_cover_and_syzygy_of_verma_frozen():
     # p=5, weight 2: cover has dim 10 over the single top, kernel dim 5,
     # and the second syzygy returns to the module itself
     p = 5
-    simples = restricted_simples(p)
-    covers = restricted_projectives(p)
+    lib = library(p, 1)
     z = build_verma_r1(Sl2Schema(p, 1), 2)
-    cover = projective_cover(z, simples, covers)
+    cover = projective_cover(z, lib)
     assert cover.module.dim == 10
     assert cover.summand_labels == ["L2"]
-    o1 = syzygy(z, simples, covers)
+    o1 = syzygy(z, lib)
     assert o1.module.dim == 5
-    o2 = syzygy(o1.module, simples, covers)
+    o2 = syzygy(o1.module, lib)
     assert bool(is_isomorphic(o2.module, z))
 
 
 def test_ext_dims_frozen():
     p = 5
     s = Sl2Schema(p, 1)
-    simples = restricted_simples(p)
-    covers = restricted_projectives(p)
+    lib = library(p, 1)
     # doubled simple in the heart forces a two-dimensional ext group
-    assert ext1_dim(build_simple(s, 2), build_simple(s, 1), simples, covers) == 2
-    assert ext1_dim(build_simple(s, 2), build_simple(s, 3), simples, covers) == 0
+    assert ext1_dim(build_simple(s, 2), build_simple(s, 1), lib) == 2
+    assert ext1_dim(build_simple(s, 2), build_simple(s, 3), lib) == 0
     z = build_verma_r1(s, 2)
-    o2 = syzygy(syzygy(z, simples, covers).module, simples, covers)
-    assert ext1_dim(z, o2.module, simples, covers) == 1
+    o2 = syzygy(syzygy(z, lib).module, lib)
+    assert ext1_dim(z, o2.module, lib) == 1
     st = steinberg(s)
-    assert ext1_dim(st, build_simple(s, 2), simples, covers) == 0
+    assert ext1_dim(st, build_simple(s, 2), lib) == 0
+
+
+def test_cover_computes_each_hom_to_a_simple_once(monkeypatch):
+    # one hom space per simple for the top and the radical together,
+    # plus one per top summand for the maps from its cover
+    p = 3
+    lib = library(p, 1)
+    z = build_verma_r1(Sl2Schema(p, 1), 0)
+    tops = top_multiplicities(z, lib)
+    calls = []
+
+    def counting(m, n):
+        calls.append((m.dim, n.dim))
+        return hom_space(m, n)
+
+    monkeypatch.setattr(vermalab.modules, "hom_space", counting)
+    cover = projective_cover(z, lib)
+    assert cover.summand_labels == sorted(tops)
+    assert len(calls) == len(lib.simples) + len(tops)
 
 
 def test_vermas_of_distinct_weights_not_isomorphic():
@@ -244,12 +265,11 @@ def test_vermas_of_distinct_weights_not_isomorphic():
 
 def test_cover_indecomposable_steinberg_projective_simple():
     p = 5
-    simples = restricted_simples(p)
-    covers = restricted_projectives(p)
-    assert is_indecomposable(covers["L2"])
+    lib = library(p, 1)
+    assert is_indecomposable(lib.projectives["L2"])
     st = steinberg(Sl2Schema(p, 1))
-    assert is_projective_module(st, simples, covers)
-    assert radical_submodule(st, simples).shape[1] == 0
+    assert is_projective_module(st, lib)
+    assert radical_submodule(st, lib).shape[1] == 0
 
 
 # -- level-2 structure ---------------------------------------------------
@@ -287,7 +307,7 @@ def test_hyper_simple_dims():
         for lam0 in range(p):
             mod = simples[simple_key(lam0 + p * lam1)]
             assert mod.dim == (lam0 + 1) * (lam1 + 1)
-    assert radical_submodule(simples["L5"], simples).shape[1] == 0
+    assert radical_submodule(simples["L5"], ModuleLibrary(simples)).shape[1] == 0
 
 
 def test_lifted_covers_restrict_to_level1_covers():
@@ -323,11 +343,10 @@ def test_tensor_schema_mismatch():
 def test_steinberg_tensor_simple_is_projective():
     p = 5
     s = Sl2Schema(p, 1)
-    simples = restricted_simples(p)
-    covers = restricted_projectives(p)
+    lib = library(p, 1)
     st = steinberg(s)
     for m in range(p):
-        assert is_projective_module(tensor(st, build_simple(s, m)), simples, covers)
+        assert is_projective_module(tensor(st, build_simple(s, m)), lib)
 
 
 def test_twist_kills_level1_generators():
@@ -411,14 +430,13 @@ def test_scan_errors():
 def test_scan_empty_iff_projective_on_corpus():
     p = 3
     s = Sl2Schema(p, 1)
-    simples = restricted_simples(p)
-    covers = restricted_projectives(p)
+    lib = library(p, 1)
     corpus = [build_verma_r1(s, lam) for lam in range(p)]
-    corpus += list(covers.values())
+    corpus += list(lib.projectives.values())
     corpus.append(tensor(steinberg(s), build_simple(s, 1)))
     for mod in corpus:
         empty = rank_variety_scan(mod, p).points == []
-        assert empty == is_projective_module(mod, simples, covers)
+        assert empty == is_projective_module(mod, lib)
 
 
 # -- verification suites -------------------------------------------------
@@ -455,6 +473,10 @@ def test_heart_partners_frozen():
     rep = verify_heart(5)
     partners = {c["lambda"]: c["mu"] for c in rep.cases}
     assert partners == {0: 3, 1: 2, 2: 1, 3: 0}
+
+
+def test_suite_without_cases_fails():
+    assert _finish("projectivity-criterion", 3, 1, []).passed is False
 
 
 def test_suite_reports_serialize():
