@@ -8,6 +8,7 @@ point counts), with a CLI front end over all of them.
 from .gf import GF
 from .heisenberg import BudgetExceeded, closed_form, count_points, dimension_fit
 from .modules import (
+    CertificateError,
     FpModule,
     ModuleLibrary,
     Undecided,
@@ -64,6 +65,7 @@ __all__ = [
     "closed_form",
     "count_points",
     "dimension_fit",
+    "CertificateError",
     "FpModule",
     "ModuleLibrary",
     "Undecided",

@@ -7,17 +7,26 @@ isomorphism and indecomposability certificates, and a text format.
 
 The hom-space computation spins up a generating set of the source
 module and solves only for the images of the generators, which keeps
-the linear systems small for the cyclic modules that dominate here.
+the linear systems small for the cyclic modules that dominate here
+(Lux and Szőke, Experiment. Math. 12, 2003).  The spin-up depends on
+the source alone, so it is grown once per module, one breadth-first
+layer at a time, and cached; operator matrices are read-only so the
+cache cannot go stale.  Each target then costs one batched product and
+one nullspace per layer.  Projectivity is decided by a dimension count
+against the library's covers, without building a syzygy.
+
 Randomized procedures take explicit seeds and either return a
-certificate that is re-verified on the spot or raise Undecided.
+certificate that is re-verified on the spot or raise Undecided.  The
+hom-space certificates raise CertificateError, which, unlike assert,
+python -O does not strip.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -37,6 +46,10 @@ class Undecided(RuntimeError):
     """A randomized search exhausted its budget without a certificate."""
 
 
+class CertificateError(RuntimeError):
+    """A computed answer failed the check that certifies it."""
+
+
 @dataclass
 class FpModule:
     """dim-dimensional module; ops maps each generator label to a matrix."""
@@ -53,6 +66,8 @@ class FpModule:
                 raise ValueError(
                     f"operator {label} has shape {mat.shape}, expected square of size {self.dim}"
                 )
+            # read-only, so that the spin-up cached below never goes stale
+            mat.setflags(write=False)
             fixed[label] = mat
         self.ops = fixed
 
@@ -62,6 +77,10 @@ class FpModule:
 
     def op(self, label: str) -> np.ndarray:
         return self.ops[label]
+
+    @cached_property
+    def _spin_plan(self) -> _SpinPlan:
+        return _spin_up(self)
 
 
 def _check_same_schema(m: FpModule, n: FpModule):
@@ -103,98 +122,163 @@ def direct_sum(mods: list[FpModule]) -> FpModule:
 
 # -- hom spaces by spinning ---------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class _SpinLayer:
+    """One breadth-first layer of a spin-up.
+
+    Every label acts on the basis vectors start..stop-1, the frontier;
+    candidate l * k + t is label l applied to frontier vector t, for a
+    frontier of k vectors.  The candidates listed in ``new`` extend the
+    basis in that order.  Candidate ``dep[i]`` equals the combination
+    ``coeffs[i]`` of the basis vectors found up to this layer.
+    """
+
+    start: int
+    stop: int
+    new: np.ndarray
+    dep: np.ndarray
+    coeffs: np.ndarray  # len(dep) x (basis size after this layer)
+
+
+@dataclass(frozen=True, eq=False)
+class _SpinPlan:
+    """A basis of a module grown from generators, and its relations.
+
+    The generators are standard basis vectors, each taken when it lies
+    outside the submodule spun up so far; ``generators`` pairs each one
+    with its layers.  ``binv`` inverts the matrix whose columns are the
+    basis vectors in the order they were found.
+    """
+
+    labels: tuple[str, ...]
+    generators: tuple[tuple[int, tuple[_SpinLayer, ...]], ...]
+    binv: np.ndarray
+
+
+def _spin_up(m: FpModule) -> _SpinPlan:
+    # each layer's candidates are reduced together against a fully
+    # reduced echelon (rows ech, pivot columns piv) of the basis so far
+    f = m.field
+    d = m.dim
+    labels = m.labels
+    stacked = np.vstack([m.ops[label] for label in labels])
+    basis = f.zeros(d, d)
+    size = 0
+    ech = f.zeros(0, d)
+    piv: list[int] = []
+
+    def extend(cands):
+        # indices of the candidates (rows) outside the span of the basis
+        # and of the candidates before them; the echelon absorbs them
+        nonlocal ech, piv
+        residues = f.sub(cands, f.matmul(cands[:, piv], ech))
+        _, new = f.rref(residues.T)
+        if new:
+            rows, new_piv = f.rref(residues[new])
+            ech = np.vstack([f.sub(ech, f.matmul(ech[:, new_piv], rows)), rows])
+            piv = piv + new_piv
+        return new
+
+    grown = []  # per generator: (start, [(lo, hi, new, dep, dependent candidates)])
+    for start in range(d):
+        if size == d:
+            break
+        unit = f.zeros(1, d)
+        unit[0, start] = 1
+        if not extend(unit):
+            continue
+        basis[start, size] = 1
+        lo, hi = size, size + 1
+        size = hi
+        layers = []
+        while lo < hi:
+            k = hi - lo
+            cands = f.matmul(stacked, basis[:, lo:hi]).reshape(len(labels), d, k)
+            cands = cands.transpose(0, 2, 1).reshape(-1, d)
+            new = extend(cands)
+            dep = np.delete(np.arange(len(cands)), new)
+            basis[:, size : size + len(new)] = cands[new].T
+            layers.append((lo, hi, np.array(new, dtype=np.intp), dep, cands[dep]))
+            lo, hi = hi, size + len(new)
+            size = hi
+        grown.append((start, layers))
+    if size != d:
+        raise CertificateError(f"spin-up found {size} basis vectors in dimension {d}")
+
+    binv = f.inverse(basis)
+    generators = []
+    for start, layers in grown:
+        done = []
+        for lo, hi, new, dep, dep_vecs in layers:
+            top = hi + len(new)
+            coeffs = f.matmul(dep_vecs, binv.T)[:, :top]
+            # the relations are certified here, so that a hom space can
+            # trust them without seeing the source module again
+            if not np.array_equal(f.matmul(coeffs, basis[:, :top].T), dep_vecs):
+                raise CertificateError("spin-up relation does not hold in the source module")
+            done.append(_SpinLayer(lo, hi, new, dep, coeffs))
+        generators.append((start, tuple(done)))
+    return _SpinPlan(labels, tuple(generators), binv)
+
+
 def hom_space(m: FpModule, n: FpModule) -> list[np.ndarray]:
     """Basis of the space of maps H with H g_M = g_N H for every generator.
 
-    Each returned matrix (n.dim x m.dim) is re-verified against every
-    generator before being emitted.
+    The unknowns are the images of the generators of the source's
+    spin-up (cached on the source).  Images are pushed through one layer
+    at a time, and each layer's relations narrow the unknowns by one
+    nullspace.  The basis returned is the reduced nullspace basis of the
+    solution space in the coordinates of the generator images, so it
+    does not depend on the narrowing schedule.  Each returned matrix
+    (n.dim x m.dim) is re-verified against every generator before being
+    emitted; a failure raises CertificateError.
     """
     _check_same_schema(m, n)
     f = m.field
     if m.dim == 0 or n.dim == 0:
         return []
-    labels = list(m.labels)
+    plan = m._spin_plan
+    nd = n.dim
+    targets = np.stack([n.ops[label] for label in plan.labels])
+    images = np.zeros((0, nd, 0), dtype=np.int64)  # per basis vector, nd x unknowns
 
-    basis_cols: list[np.ndarray] = []
-    echelon: list[tuple[int, np.ndarray, np.ndarray]] = []
-    images: list[np.ndarray] = []  # candidate images of basis vectors, n.dim x width
-    width = 0
-    queue: deque[int] = deque()
+    for _, layers in plan.generators:
+        # a fresh generator: its image is a new free block of unknowns;
+        # width 0 before it only said the map vanished on what came before
+        count, _, width = images.shape
+        widened = np.zeros((count + 1, nd, width + nd), dtype=np.int64)
+        widened[:count, :, :width] = images
+        widened[count, :, width:] = f.identity(nd)
+        images = widened
+        width += nd
+        for layer in layers:
+            if width == 0:
+                # the map vanishes on this generator: the rest of its
+                # layers can only push zero-width images around
+                images = np.zeros((layers[-1].stop, nd, 0), dtype=np.int64)
+                break
+            front = images[layer.start : layer.stop]
+            cands = f.matmul(targets[:, None], front[None])
+            cands = cands.reshape(len(targets) * len(front), nd, width)
+            images = np.concatenate([images, cands[layer.new]])
+            if not len(layer.dep):
+                continue
+            related = f.matmul(layer.coeffs, images.reshape(len(images), -1))
+            rows = f.sub(cands[layer.dep].reshape(len(layer.dep), -1), related)
+            if np.any(rows):
+                keep = f.nullspace(rows.reshape(len(layer.dep) * nd, width))
+                images = f.matmul(images, keep)
+                width = keep.shape[1]
 
-    def reduce_vec(w):
-        w = w.copy()
-        expr = np.zeros(m.dim, dtype=np.int64)
-        for piv, r, e in echelon:
-            c = int(w[piv])
-            if c:
-                w = f.sub(w, f.mul(r, c))
-                expr = f.add(expr, f.mul(e, c))
-        return w, expr
-
-    def insert(orig, residue, expr, image):
-        t = len(basis_cols)
-        basis_cols.append(orig)
-        scale = f.inv(int(residue[np.nonzero(residue)[0][0]]))
-        piv = int(np.nonzero(residue)[0][0])
-        evec = f.neg(expr)
-        evec[t] = 1
-        echelon.append((piv, f.mul(residue, scale), f.mul(evec, scale)))
-        images.append(image)
-        queue.append(t)
-
-    def narrow(rows):
-        # width 0 is not a dead end: it only says the map vanishes on
-        # the submodule generated so far; later generators reopen it
-        nonlocal width
-        if not np.any(rows):
-            return
-        keep = f.nullspace(rows)
-        for s in range(len(images)):
-            images[s] = f.matmul(images[s], keep)
-        width = keep.shape[1]
-
-    for start in range(m.dim):
-        if len(basis_cols) == m.dim:
-            break
-        vec = f.zeros(m.dim, 1)[:, 0]
-        vec[start] = 1
-        residue, expr = reduce_vec(vec)
-        if not np.any(residue):
-            continue
-        # fresh generator: its image is a new free block of unknowns
-        for s in range(len(images)):
-            images[s] = np.hstack([images[s], f.zeros(n.dim, n.dim)])
-        insert(vec, residue, expr, np.hstack([f.zeros(n.dim, width), f.identity(n.dim)]))
-        width += n.dim
-        while queue:
-            t = queue.popleft()
-            for label in labels:
-                w = f.matmul(m.ops[label], basis_cols[t][:, None])[:, 0]
-                residue, expr = reduce_vec(w)
-                propagated = f.matmul(n.ops[label], images[t])
-                if np.any(residue):
-                    insert(w, residue, expr, propagated)
-                else:
-                    rows = propagated
-                    for s in np.nonzero(expr)[0]:
-                        rows = f.sub(rows, f.mul(images[int(s)], int(expr[s])))
-                    narrow(rows)
-
-    if width == 0:
+    if images.shape[2] == 0:
         return []
-    assert len(basis_cols) == m.dim
-    bmat = np.column_stack(basis_cols)
-    binv = f.inverse(bmat)
-    homs = []
-    for c in range(width):
-        ymat = np.column_stack([images[s][:, c] for s in range(m.dim)])
-        h = f.matmul(ymat, binv)
-        for label in labels:
-            lhs = f.matmul(h, m.ops[label])
-            rhs = f.matmul(n.ops[label], h)
-            assert np.array_equal(lhs, rhs), f"emitted map fails to intertwine {label}"
-        homs.append(h)
-    return homs
+    homs = f.matmul(images.transpose(2, 1, 0), plan.binv)
+    sources = np.stack([m.ops[label] for label in plan.labels])
+    fails = f.matmul(homs[:, None], sources) != f.matmul(targets, homs[:, None])
+    if np.any(fails):
+        label = plan.labels[int(np.argmax(fails.any(axis=(0, 2, 3))))]
+        raise CertificateError(f"emitted map fails to intertwine {label}")
+    return list(homs)
 
 
 # -- submodules, quotients, radical, socle ------------------------------
@@ -312,20 +396,40 @@ def top_multiplicities(m: FpModule, lib: ModuleLibrary) -> dict[str, int]:
     return _multiplicities(_homs_to_simples(m, lib))
 
 
+def _homs_from_simples(m: FpModule, lib: ModuleLibrary) -> dict[str, list[np.ndarray]]:
+    """Basis of Hom(S, m) for every simple S: the one pass that socles share."""
+    return {key: hom_space(s, m) for key, s in lib.simples.items()}
+
+
+def _joint_image(m: FpModule, homs: dict[str, list[np.ndarray]]) -> np.ndarray:
+    return m.field.column_space_basis(
+        np.hstack([m.field.zeros(m.dim, 0)] + [h for hs in homs.values() for h in hs])
+    )
+
+
 def socle_submodule(m: FpModule, lib: ModuleLibrary) -> np.ndarray:
-    f = m.field
-    blocks = [f.zeros(m.dim, 0)]
-    for s in lib.simples.values():
-        for h in hom_space(s, m):
-            blocks.append(h)
-    return f.column_space_basis(np.hstack(blocks))
+    """Columns spanning the sum of the images of all maps from simples."""
+    return _joint_image(m, _homs_from_simples(m, lib))
 
 
 def socle_multiplicities(m: FpModule, lib: ModuleLibrary) -> dict[str, int]:
-    return _multiplicities({key: hom_space(s, m) for key, s in lib.simples.items()})
+    return _multiplicities(_homs_from_simples(m, lib))
 
 
 # -- projective covers and syzygies -------------------------------------
+
+def _covered_tops(m: FpModule, lib: ModuleLibrary):
+    """Homs to the simples and top multiplicities of a nonzero module,
+    checked to have a nonzero top whose covers are all in the library."""
+    homs = _homs_to_simples(m, lib)
+    tops = _multiplicities(homs)
+    if not tops:
+        raise ValueError("nonzero module with zero top; simples list incomplete?")
+    for label in tops:
+        if label not in lib.projectives:
+            raise MissingProjective(label)
+    return homs, tops
+
 
 @dataclass
 class ProjectiveCover:
@@ -343,13 +447,7 @@ def projective_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
     f = m.field
     if m.dim == 0:
         return ProjectiveCover(zero_module_like(m), f.zeros(0, 0), [])
-    homs = _homs_to_simples(m, lib)
-    tops = _multiplicities(homs)
-    if not tops:
-        raise ValueError("nonzero module with zero top; simples list incomplete?")
-    for label in tops:
-        if label not in lib.projectives:
-            raise MissingProjective(label)
+    homs, tops = _covered_tops(m, lib)
     rad = _common_kernel(m, homs)
     _, q, _ = quotient_by_columns(m, rad)
     tdim = q.shape[0]
@@ -425,11 +523,15 @@ def ext1_coboundaries(syz: SyzygyData, n: FpModule) -> list:
 def is_projective_module(m: FpModule, lib: ModuleLibrary) -> bool:
     """True iff every first extension group against a simple vanishes.
 
-    Equivalent formulation used here: the syzygy of a minimal cover is
-    zero.  A nonzero syzygy has a nonzero top, hence a nonzero
-    extension group against some simple; a zero syzygy kills them all.
+    Equivalently the syzygy of a minimal cover is zero.  The cover
+    P(top m) = sum of [top m : S] copies of P(S) maps onto m with the
+    syzygy as its kernel, so m is projective exactly when
+    dim m = sum of [top m : S] * dim P(S); no cover is built.
     """
-    return syzygy(m, lib).module.dim == 0
+    if m.dim == 0:
+        return True
+    _, tops = _covered_tops(m, lib)
+    return m.dim == sum(k * lib.projectives[label].dim for label, k in tops.items())
 
 
 # -- extensions ----------------------------------------------------------

@@ -25,6 +25,9 @@ from .modules import (
     FpModule,
     ModuleLibrary,
     SchemaMismatch,
+    _homs_from_simples,
+    _joint_image,
+    _multiplicities,
     build_extension,
     decompose,
     direct_sum,
@@ -37,8 +40,6 @@ from .modules import (
     quotient_by_columns,
     radical_submodule,
     restrict_labels,
-    socle_multiplicities,
-    socle_submodule,
     submodule_from_columns,
     syzygy,
     top_multiplicities,
@@ -707,10 +708,11 @@ def verify_heart(p: int) -> CheckReport:
     cases = []
     for lam in range(p - 1):
         cover = lib.projectives[simple_key(lam)]
-        soc_ok = socle_multiplicities(cover, lib) == {simple_key(lam): 1}
+        from_simples = _homs_from_simples(cover, lib)
+        soc_ok = _multiplicities(from_simples) == {simple_key(lam): 1}
         rad_cols = radical_submodule(cover, lib)
         sub, incl = submodule_from_columns(cover, rad_cols)
-        soc_cols = socle_submodule(cover, lib)
+        soc_cols = _joint_image(cover, from_simples)
         inner = f.solve(incl, soc_cols)
         heart, _, _ = quotient_by_columns(sub, inner)
         mu = p - 2 - lam

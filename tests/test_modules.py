@@ -1,8 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vermalab
 from oracles import brute_radical, intertwiner_basis
 from vermalab.gf import GF
 from vermalab.modules import (
@@ -35,6 +42,15 @@ from vermalab.modules import (
     syzygy,
     top_multiplicities,
     zero_module_like,
+)
+from vermalab.sl2 import (
+    Sl2Schema,
+    build_verma_r1,
+    build_verma_r2,
+    hyper_projectives,
+    library,
+    restricted_projectives,
+    restricted_simples,
 )
 
 
@@ -128,6 +144,105 @@ def test_hom_survives_forced_zero_on_first_generator():
     got = hom_space(m, n)
     want = intertwiner_basis(as_lists(m), as_lists(n), p)
     assert len(got) == len(want) == 1
+
+
+def jordan_f9(*sizes):
+    """Jordan blocks over k[t]/(t^3) with the field extended to F_9."""
+    return FpModule(GF(3, 2), sum(sizes), {"t": jordan(3, *sizes).ops["t"]})
+
+
+def hom_digest_corpus():
+    """Module pairs whose hom-space bases are pinned bit for bit."""
+    pairs = []
+    for p in (3, 5):
+        schema = Sl2Schema(p, 1)
+        level1 = [
+            *restricted_simples(p).values(),
+            *(build_verma_r1(schema, lam) for lam in range(p)),
+            *restricted_projectives(p).values(),
+        ]
+        pairs += [(m, n) for m in level1 for n in level1]
+    vermas2 = [build_verma_r2(Sl2Schema(3, 2), lam) for lam in range(9)]
+    covers2 = list(hyper_projectives(3).values())
+    pairs += [(m, n) for m in vermas2 + covers2 for n in vermas2]
+    pairs += [(c, c) for c in covers2]
+    schema = Sl2Schema(3, 1)
+    summed = direct_sum(
+        [build_verma_r1(schema, 0), restricted_simples(3)["L1"], restricted_projectives(3)["L2"]]
+    )
+    others = [build_verma_r1(schema, lam) for lam in range(3)]
+    pairs += [(summed, summed)] + [(summed, n) for n in others] + [(m, summed) for m in others]
+    f9 = [
+        jordan_f9(3),
+        jordan_f9(1, 2),
+        conjugate(jordan_f9(2, 2), 5),
+        conjugate(jordan_f9(3, 1), 7),
+        conjugate(jordan_f9(1, 1, 2), 9),
+    ]
+    pairs += [(m, n) for m in f9 for n in f9]
+    return pairs
+
+
+def hom_basis_digest(pairs):
+    h = hashlib.sha256()
+    for m, n in pairs:
+        homs = hom_space(m, n)
+        h.update(f"{len(homs)}:{n.dim}x{m.dim};".encode())
+        for mat in homs:
+            h.update(np.ascontiguousarray(mat, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the bases over hom_digest_corpus(), recorded with the
+# one-vector-at-a-time spin-up that the layered one replaced
+RECORDED_HOM_DIGEST = "5b1e49860999bbfee999b3fc4ad07cedf72ee3c0481ba1f7a8dafa5a218fa2a1"
+
+
+def test_hom_bases_match_recorded_digest():
+    pairs = hom_digest_corpus()
+    assert any(m.field.k == 2 and hom_space(m, n) for m, n in pairs)
+    assert hom_basis_digest(pairs) == RECORDED_HOM_DIGEST
+
+
+CORRUPTED_INVERSE = """
+from vermalab.gf import GF
+from vermalab.modules import CertificateError, hom_space
+from vermalab.sl2 import Sl2Schema, build_verma_r1
+
+assert not __debug__
+true_inverse = GF.inverse
+
+
+def corrupted(self, a):
+    x = true_inverse(self, a).copy()
+    x[0, 0] = self.add(x[0, 0], 1)
+    return x
+
+
+GF.inverse = corrupted
+z = build_verma_r1(Sl2Schema(3, 1), 0)
+try:
+    hom_space(z, z)
+except CertificateError:
+    print("refused")
+"""
+
+
+def test_hom_certificates_survive_optimized_python():
+    # python -O strips asserts; a corrupted basis inverse must still be caught
+    env = {**os.environ, "PYTHONPATH": str(Path(vermalab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_INVERSE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"
+
+
+def test_module_operators_are_read_only():
+    m = jordan(3, 2)
+    with pytest.raises(ValueError):
+        m.ops["t"][0, 0] = 1
 
 
 def test_hom_schema_mismatch():
@@ -271,6 +386,32 @@ def test_missing_projective():
     lib = jordan_world(p)
     with pytest.raises(MissingProjective):
         projective_cover(jordan(p, 2), ModuleLibrary(lib.simples))
+    with pytest.raises(MissingProjective):
+        is_projective_module(jordan(p, 2), ModuleLibrary(lib.simples))
+
+
+def test_projectivity_by_dimension_matches_syzygy():
+    cases = []
+    for p in (3, 5):
+        lib = library(p, 1)
+        schema = Sl2Schema(p, 1)
+        level1 = [
+            *lib.simples.values(),
+            *lib.projectives.values(),
+            *(build_verma_r1(schema, lam) for lam in range(p)),
+        ]
+        cases += [(m, lib) for m in level1]
+        world = jordan_world(p)
+        sums = [(1,), (p,), (p, p), (2, p), (1, 2, p), (p - 1, p - 1)]
+        cases += [(jordan(p, *sizes), world) for sizes in sums]
+    verdicts = [is_projective_module(m, lib) for m, lib in cases]
+    assert verdicts == [syzygy(m, lib).module.dim == 0 for m, lib in cases]
+    assert any(verdicts) and not all(verdicts)
+    # t acts invertibly, so nothing maps onto the trivial simple
+    unit = FpModule(GF(3), 1, {"t": np.ones((1, 1), dtype=np.int64)})
+    for decide in (is_projective_module, syzygy):
+        with pytest.raises(ValueError, match="zero top"):
+            decide(unit, jordan_world(3))
 
 
 # -- extensions ----------------------------------------------------------

@@ -258,6 +258,24 @@ def test_cover_computes_each_hom_to_a_simple_once(monkeypatch):
     assert len(calls) == len(lib.simples) + len(tops)
 
 
+def test_heart_computes_each_hom_from_a_simple_once(monkeypatch):
+    # per cover: Hom(S, P) once for socle and its multiplicities together,
+    # Hom(P, S) once for the radical, and one hom space for the isomorphism
+    calls = []
+
+    def counting(m, n):
+        calls.append((m.dim, n.dim))
+        return hom_space(m, n)
+
+    for p, want in ((3, 14), (5, 44)):
+        library(p, 1)
+        calls.clear()
+        monkeypatch.setattr(vermalab.modules, "hom_space", counting)
+        assert verify_heart(p).passed
+        monkeypatch.undo()
+        assert len(calls) == want
+
+
 def test_vermas_of_distinct_weights_not_isomorphic():
     s = Sl2Schema(5, 1)
     assert not is_isomorphic(build_verma_r1(s, 2), build_verma_r1(s, 1))
