@@ -3,7 +3,8 @@
 
 For each number of generator pairs r the script lists exact counts
 over the requested fields, confirms them against the closed form, and
-fits the growth slope whose target is 2r + 1.
+fits the growth slope whose target is 2r + 1.  Exits 1 if any count
+differs from the closed form.
 """
 import argparse
 import sys
@@ -18,6 +19,7 @@ def main() -> int:
     args = parser.parse_args()
 
     qs = [int(x) for x in args.qs.split(",")]
+    mismatches = 0
     for r in range(1, args.r_max + 1):
         print(f"r = {r}  (ambient dimension {2 * r + 1})")
         counts = []
@@ -26,13 +28,14 @@ def main() -> int:
             counts.append(pc)
             formula = closed_form(r, q)
             tag = "ok" if pc.count == formula else f"MISMATCH formula={formula}"
+            mismatches += pc.count != formula
             print(f"  q={q:3d}  count={pc.count:12d}  {tag}")
         fit = dimension_fit(r, qs)
         print(
             f"  slope {fit.slope:.4f}  target {fit.target}  "
             f"residual {fit.residual:.5f}"
         )
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

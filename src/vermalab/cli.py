@@ -8,6 +8,7 @@ as canonical JSON with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -238,20 +239,25 @@ def _cmd_dump_module(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by later ones.
+
+    ``parse_args`` returns a fresh namespace on every call, so nothing
+    carries over from one command to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="vermalab",
         description="analyzers and verification suites for modular weight combinatorics",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, *, root=False, needs_r=True, weight=True):
+    def add(name, fn, *, needs_p=True, root=False, needs_r=True, weight=True):
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
         sp.add_argument("--json", action="store_true", help="canonical JSON output")
-        sp.add_argument("--text", action="store_true", help="plain text output (default)")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
-        sp.add_argument("--p", type=int, required=True, help="prime")
+        if needs_p:
+            sp.add_argument("--p", type=int, required=True, help="prime")
         if root:
             sp.add_argument("--type", help="named type: A1, A2, B2, G2, A1xA1")
             sp.add_argument("--cartan", help="explicit Cartan rows, e.g. '2,-1;-1,2'")
@@ -271,30 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     bl = add("block", _cmd_block, root=True)
     bl.add_argument("--gamma", required=True, help="candidate weight, comma-separated")
 
-    vs = sub.add_parser("verify-sl2")
-    vs.set_defaults(fn=_cmd_verify_sl2)
-    vs.add_argument("--json", action="store_true")
-    vs.add_argument("--text", action="store_true")
-    vs.add_argument("--seed", type=int, default=0)
-    vs.add_argument("--p", type=int, required=True)
-    vs.add_argument("--r", type=int, required=True)
+    vs = add("verify-sl2", _cmd_verify_sl2, weight=False)
+    vs.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
 
-    vh = sub.add_parser("verify-heisenberg")
-    vh.set_defaults(fn=_cmd_verify_heisenberg)
-    vh.add_argument("--json", action="store_true")
-    vh.add_argument("--text", action="store_true")
-    vh.add_argument("--seed", type=int, default=0)
+    vh = add(
+        "verify-heisenberg", _cmd_verify_heisenberg, needs_p=False, needs_r=False, weight=False
+    )
     vh.add_argument("--r", type=int, required=True, help="number of generator pairs")
     vh.add_argument("--qs", required=True, help="comma-separated field sizes")
     vh.add_argument("--tol", type=float, default=None, help="slope tolerance")
 
-    dm = sub.add_parser("dump-module")
-    dm.set_defaults(fn=_cmd_dump_module)
-    dm.add_argument("--json", action="store_true")
-    dm.add_argument("--text", action="store_true")
-    dm.add_argument("--seed", type=int, default=0)
-    dm.add_argument("--p", type=int, required=True)
-    dm.add_argument("--r", type=int, required=True)
+    dm = add("dump-module", _cmd_dump_module, weight=False)
     dm.add_argument("--weight", help="highest weight (single integer)")
     dm.add_argument(
         "--kind",
@@ -308,8 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except Undecided as e:

@@ -331,6 +331,12 @@ def restricted_simples(p: int) -> dict[str, FpModule]:
     return {simple_key(m): build_simple(schema, m) for m in range(p)}
 
 
+@lru_cache(maxsize=None)
+def _simples_library(p: int) -> ModuleLibrary:
+    """The level-1 simples alone, validated once for both cover builders."""
+    return ModuleLibrary(restricted_simples(p))
+
+
 def _summand_with_top(parts, lib, key, want_dim, context):
     found = [
         q
@@ -360,7 +366,7 @@ def restricted_projectives(p: int) -> dict[str, FpModule]:
     projective module yields projectives.
     """
     schema = Sl2Schema(p, 1)
-    lib = ModuleLibrary(restricted_simples(p))
+    lib = _simples_library(p)
     st = steinberg(schema)
     out = {simple_key(p - 1): st}
     for lam in range(p - 1):
@@ -383,7 +389,7 @@ def lifted_projectives(p: int) -> dict[int, FpModule]:
     simple top of the restriction.
     """
     schema1 = Sl2Schema(p, 1)
-    lib = ModuleLibrary(restricted_simples(p))
+    lib = _simples_library(p)
     st2 = restricted_as_r2(steinberg(schema1))
     out = {p - 1: st2}
     for lam in range(p - 1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf import is_prime
+from .modules import CertificateError
 from .rootsys import (
     CartanSpec,
     RootSystem,
@@ -90,8 +91,11 @@ def depth_reduce(rs: RootSystem, lam: Weight, p: int, r: int) -> tuple[int, Weig
             raise AssertionError("depth guarantees divisibility; got a remainder")
         mu.append(num // q)
     mu = tuple(mu)
-    assert depth(rs, mu, p) == 1
-    assert lam == add_weights(tuple(q * m for m in mu), tuple(q - 1 for _ in lam))
+    mu_depth = depth(rs, mu, p)
+    if mu_depth != 1:
+        raise CertificateError(f"reduced weight {mu} has depth {mu_depth}, not 1")
+    if lam != add_weights(tuple(q * m for m in mu), tuple(q - 1 for _ in lam)):
+        raise CertificateError(f"p^d * mu + (p^d - 1) * rho does not give back {lam}")
     return d, mu
 
 
@@ -332,8 +336,10 @@ def classify(spec: CartanSpec, lam: Weight, p: int, r: int) -> VermaReport:
         position = AR_QUASI_SIMPLE
         notes.append("non-projective induced module: quasi-simple in an A-infinity component")
 
-    if variety_dim is not None:
-        assert variety_dim >= cx_lower, "exact value may not undercut the bound"
+    if variety_dim is not None and variety_dim < cx_lower:
+        raise CertificateError(
+            f"exact variety dimension {variety_dim} undercuts the bound {cx_lower}"
+        )
 
     return VermaReport(
         lam=tuple(lam),

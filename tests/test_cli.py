@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from vermalab.cli import main
+from vermalab.cli import build_parser, main
 from vermalab.modules import parse_text
 from vermalab.sl2 import Sl2Schema
 
@@ -135,6 +135,56 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["depth", "--type", "A1"])
     assert exc.value.code == 2
+
+
+def test_dropped_flags_exit_two(capsys):
+    # --text did nothing and is gone; --seed stays only where a seed is read
+    with pytest.raises(SystemExit) as exc:
+        main(["depth", "--type", "A1", "--p", "5", "--weight", "3", "--text"])
+    assert exc.value.code == 2
+    for argv in (
+        ["depth", "--type", "A1", "--p", "5", "--weight", "3", "--seed", "1"],
+        ["verify-heisenberg", "--r", "2", "--qs", "3,5", "--seed", "1"],
+        ["dump-module", "--p", "3", "--r", "1", "--kind", "steinberg", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_verify_sl2_accepts_seed(capsys):
+    code, out = run(capsys, ["verify-sl2", "--p", "3", "--r", "1", "--seed", "1"])
+    assert code == 0
+    assert out.endswith("all checks passed\n")
+
+
+def test_main_reuses_one_parser(capsys):
+    run(capsys, ["depth", "--type", "A1", "--p", "5", "--weight", "9"])
+    parser = build_parser()
+    built = build_parser.cache_info().misses
+    for weight in ("9", "-1", "3"):
+        run(capsys, ["depth", "--type", "A1", "--p", "5", "--weight", weight])
+    assert build_parser() is parser
+    assert build_parser.cache_info().misses == built
+
+
+def _alone(capsys, argv):
+    build_parser.cache_clear()
+    return run(capsys, argv)
+
+
+def test_successive_calls_share_no_state(capsys):
+    cartan = ["depth", "--cartan", "2,-1;-1,2", "--p", "5", "--weight", "4,4", "--json"]
+    named = ["depth", "--type", "A1", "--p", "5", "--weight", "9"]
+    alone = [_alone(capsys, cartan), _alone(capsys, named)]
+    assert alone[1] == (0, "2\n")
+    assert [run(capsys, cartan), run(capsys, named)] == alone
+    # a usage error leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["depth", "--cartan", "2,-1;-1,2", "--weight", "4,4"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, named) == alone[1]
 
 
 def test_input_errors_exit_two(capsys):

@@ -1,12 +1,19 @@
 """Tests for the Heisenberg commuting variety point counts."""
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vermalab
+import vermalab.heisenberg
 from vermalab.gf import GF
 from vermalab.heisenberg import (
     BudgetExceeded,
@@ -16,6 +23,7 @@ from vermalab.heisenberg import (
     count_points,
     dimension_fit,
 )
+from vermalab.modules import CertificateError
 
 
 def rank_oracle(r, q):
@@ -32,6 +40,56 @@ def rank_oracle(r, q):
             if f.rank(mat) <= 1:
                 good += 1
     return q**r * good
+
+
+def minor_loop_count(r, q):
+    """The per-x minor loop count_points ran before it compared blocks of rows."""
+    f = GF.from_q(q)
+    vectors = np.array(list(product(range(q), repeat=r)), dtype=np.int64)
+    good = 0
+    for x in vectors:
+        commuting = np.ones(len(vectors), dtype=bool)
+        for i in range(r):
+            for j in range(i + 1, r):
+                minor = f.sub(
+                    f.mul(int(x[i]), vectors[:, j]), f.mul(int(x[j]), vectors[:, i])
+                )
+                commuting &= minor == 0
+        good += int(commuting.sum())
+    return q**r * good
+
+
+# every (r, q) with r <= 4, q in {2, 3, 5, 7, 9, 25} and at most 7^4 vectors,
+# where the per-x reference loop stays fast
+LOOP_SIZES = [
+    (r, q) for r in (1, 2, 3, 4) for q in (2, 3, 5, 7, 9, 25) if q**r <= 7**4
+]
+
+
+def test_count_matches_minor_loop():
+    for r, q in LOOP_SIZES:
+        assert count_points(r, q).count == minor_loop_count(r, q), (r, q)
+    # among them, sizes whose vectors split into several blocks, the last one short
+    for r, q in [(2, 25), (3, 9), (4, 7)]:
+        n, rows = q**r, vermalab.heisenberg._BLOCK_CELLS // q**r
+        assert (r, q) in LOOP_SIZES and n > rows and n % rows != 0
+
+
+def test_count_matches_closed_form_at_query_sizes():
+    for r, q in [(2, 49), (3, 13), (4, 7)]:
+        assert count_points(r, q).count == closed_form(r, q)
+
+
+def test_r1_builds_no_table():
+    # a q x q table at q = 10007 would take hundreds of megabytes
+    tracemalloc.start()
+    try:
+        count = count_points(1, 10007).count
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 10007**3
+    assert peak < 256 * 1024
 
 
 def test_r1_is_full_space():
@@ -105,10 +163,28 @@ def test_bad_field_size():
 
 
 def test_point_count_bounds_checked():
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         PointCount(q=3, r=2, count=1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         PointCount(q=3, r=2, count=3**7)
+
+
+def test_point_count_bounds_survive_optimized_python():
+    # python -O strips asserts; the bound check must still refuse
+    code = (
+        "from vermalab.heisenberg import PointCount\n"
+        "from vermalab.modules import CertificateError\n"
+        "try:\n"
+        "    PointCount(q=3, r=2, count=1)\n"
+        "except CertificateError:\n"
+        "    print('refused')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vermalab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused"
 
 
 def test_fit_r1_slope_exact():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vermalab.modules
+import vermalab.sl2
 from oracles import intertwiner_basis
 from vermalab.gf import GF
 from vermalab.modules import (
@@ -274,6 +275,27 @@ def test_heart_computes_each_hom_from_a_simple_once(monkeypatch):
         assert verify_heart(p).passed
         monkeypatch.undo()
         assert len(calls) == want
+
+
+def test_cover_builders_validate_the_simples_once(monkeypatch):
+    # both level-1 cover builders share one library of the simples, so
+    # End(S) is checked once per simple, not once per builder
+    p = 3
+    simples = list(restricted_simples(p).values())
+    calls = []
+
+    def counting(m, n):
+        calls.append((m, n))
+        return hom_space(m, n)
+
+    monkeypatch.setattr(vermalab.modules, "hom_space", counting)
+    vermalab.sl2._simples_library.cache_clear()
+    restricted_projectives.__wrapped__(p)
+    lifted_projectives.__wrapped__(p)
+    monkeypatch.undo()
+    validations = [m for m, n in calls if m is n and any(m is s for s in simples)]
+    assert len(validations) == p
+    assert len(calls) == 27  # 30 with a library per builder
 
 
 def test_vermas_of_distinct_weights_not_isomorphic():
