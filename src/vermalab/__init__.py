@@ -30,7 +30,6 @@ from .rootsys import (
     is_good_prime,
     is_pr_regular,
     psi_set,
-    restricted_decompose,
 )
 from .sl2 import (
     Sl2Schema,
@@ -85,7 +84,6 @@ __all__ = [
     "is_good_prime",
     "is_pr_regular",
     "psi_set",
-    "restricted_decompose",
     "Sl2Schema",
     "UnsupportedPrime",
     "build_simple",

@@ -20,9 +20,8 @@ from .sl2 import (
     build_simple,
     build_verma_r1,
     build_verma_r2,
-    hyper_projectives,
     hyper_simples,
-    restricted_projectives,
+    library,
     run_sl2_suites,
     simple_key,
     steinberg,
@@ -214,9 +213,8 @@ def _build_module(kind: str, p: int, r: int, lam: int):
         except KeyError:
             raise ValueError(f"no level-2 simple of weight {lam}") from None
     if kind == "projective":
-        table = restricted_projectives(p) if r == 1 else hyper_projectives(p)
         try:
-            return table[simple_key(lam)]
+            return library(p, r).projectives[simple_key(lam)]
         except KeyError:
             raise ValueError(f"no projective cover of weight {lam}") from None
     raise ValueError(f"unknown module kind {kind!r}")

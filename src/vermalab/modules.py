@@ -50,6 +50,14 @@ class CertificateError(RuntimeError):
     """A computed answer failed the check that certifies it."""
 
 
+# budgets of the randomized deciders: random tries before giving up or
+# falling back to exhaustive search, and the largest search space exhausted
+_ISO_TRIES = 200
+_DECOMPOSE_TRIES = 80
+_INDECOMPOSABLE_TRIES = 60
+_EXHAUST_BOUND = 4096
+
+
 @dataclass
 class FpModule:
     """dim-dimensional module; ops maps each generator label to a matrix."""
@@ -74,9 +82,6 @@ class FpModule:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self.ops)
-
-    def op(self, label: str) -> np.ndarray:
-        return self.ops[label]
 
     @cached_property
     def _spin_plan(self) -> _SpinPlan:
@@ -597,13 +602,7 @@ class IsoResult:
         return self.isomorphic
 
 
-def is_isomorphic(
-    m: FpModule,
-    n: FpModule,
-    seed: int = 0,
-    tries: int = 200,
-    exhaust_bound: int = 4096,
-) -> IsoResult:
+def is_isomorphic(m: FpModule, n: FpModule, seed: int = 0) -> IsoResult:
     """Search the intertwiner space for an invertible element.
 
     Returns a verified witness on success.  A negative answer is only
@@ -632,14 +631,14 @@ def is_isomorphic(
         if hit:
             return hit
     rng = random.Random(seed)
-    for _ in range(tries):
+    for _ in range(_ISO_TRIES):
         combo = f.zeros(n.dim, m.dim)
         for h in homs:
             combo = f.add(combo, f.mul(h, rng.randrange(f.q)))
         hit = check(combo)
         if hit:
             return hit
-    if f.q ** len(homs) <= exhaust_bound:
+    if f.q ** len(homs) <= _EXHAUST_BOUND:
         for coeffs in itertools.product(range(f.q), repeat=len(homs)):
             if not any(coeffs):
                 continue
@@ -651,7 +650,7 @@ def is_isomorphic(
                 return hit
         return IsoResult(False)
     raise Undecided(
-        f"no invertible intertwiner found in {tries} tries; hom space of dim "
+        f"no invertible intertwiner found in {_ISO_TRIES} tries; hom space of dim "
         f"{len(homs)} too large to exhaust"
     )
 
@@ -677,7 +676,7 @@ def fitting_split(m: FpModule, endo):
     return submodule_from_columns(m, image), submodule_from_columns(m, kernel)
 
 
-def decompose(m: FpModule, seed: int = 0, tries: int = 80) -> list[FpModule]:
+def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
     """Indecomposable summands, found by repeated Fitting splitting.
 
     Every returned factor is certified indecomposable; if neither a
@@ -691,7 +690,7 @@ def decompose(m: FpModule, seed: int = 0, tries: int = 80) -> list[FpModule]:
         return [m]
     rng = random.Random(seed)
     candidates = list(homs)
-    for _ in range(tries):
+    for _ in range(_DECOMPOSE_TRIES):
         combo = f.zeros(m.dim, m.dim)
         for h in homs:
             combo = f.add(combo, f.mul(h, rng.randrange(f.q)))
@@ -701,9 +700,7 @@ def decompose(m: FpModule, seed: int = 0, tries: int = 80) -> list[FpModule]:
         r = f.rank(y)
         if 0 < r < m.dim:
             (a, _), (b, _) = fitting_split(m, h)
-            return decompose(a, seed=seed + 1, tries=tries) + decompose(
-                b, seed=seed + 2, tries=tries
-            )
+            return decompose(a, seed=seed + 1) + decompose(b, seed=seed + 2)
     if is_indecomposable(m, seed=seed):
         return [m]
     raise Undecided("module is decomposable but no splitting endomorphism was found")
@@ -923,7 +920,7 @@ class _QuotientAlgebra:
                 krylov = np.hstack([krylov, nxt[:, None]])
 
 
-def is_indecomposable(m: FpModule, seed: int = 0, tries: int = 60) -> bool:
+def is_indecomposable(m: FpModule, seed: int = 0) -> bool:
     """Certify that the endomorphism ring is local, or that it is not.
 
     Local means the quotient by the radical is a field: decided by a
@@ -951,13 +948,13 @@ def is_indecomposable(m: FpModule, seed: int = 0, tries: int = 60) -> bool:
         poly = quot.min_poly(v)
         return len(poly) - 1 == target and is_irreducible_poly(poly, f.p)
 
-    for _ in range(tries):
+    for _ in range(_INDECOMPOSABLE_TRIES):
         v = f.zeros(quot.d, 1)[:, 0]
         for i in quot.free:
             v[i] = rng.randrange(f.q)
         if qualifies(quot.reduce(v)):
             return True
-    if f.q**target <= 4096:
+    if f.q**target <= _EXHAUST_BOUND:
         for coeffs in itertools.product(range(f.q), repeat=target):
             v = f.zeros(quot.d, 1)[:, 0]
             for i, c in zip(quot.free, coeffs):

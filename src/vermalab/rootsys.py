@@ -278,20 +278,6 @@ def is_pr_regular(rs: RootSystem, lam: Weight, p: int, r: int) -> bool:
     return len(psi_set(rs, lam, p, r)) == 0
 
 
-def restricted_decompose(lam: Weight, p: int, r: int) -> tuple[Weight, Weight]:
-    """lam = lam0 + p^r * lam1 with lam0 coordinate-wise in [0, p^r)."""
-    mod = p**r
-    lam0 = tuple(x % mod for x in lam)
-    lam1 = tuple((x - x % mod) // mod for x in lam)
-    return lam0, lam1
-
-
-def in_alcove_c0(rs: RootSystem, lam: Weight, p: int) -> bool:
-    """Strictly between the walls: 0 < <lam+rho, alpha_v> < p for all alpha > 0."""
-    shifted = add_weights(lam, rs.rho)
-    return all(0 < pairing(rs, shifted, root) < p for root in rs.positive_roots)
-
-
 def is_good_prime(rs: RootSystem, p: int) -> bool:
     """p divides no coefficient of a positive root over the simple roots."""
     return all(

@@ -22,6 +22,7 @@ import numpy as np
 
 from .gf import GF, is_prime
 from .modules import (
+    CertificateError,
     FpModule,
     ModuleLibrary,
     SchemaMismatch,
@@ -89,30 +90,44 @@ class Sl2Schema:
         return GF(self.p)
 
     def check(self, mod: FpModule) -> None:
-        """Assert the relation set that closes over this label set."""
+        """Check the relation set that closes over this label set.
+
+        A field or label mismatch raises SchemaMismatch, and a failed
+        relation raises CertificateError naming it; unlike assert,
+        python -O strips neither.
+        """
         f = mod.field
-        assert f.p == self.p and f.k == 1
-        assert set(mod.labels) == set(self.labels)
+        if f.p != self.p or f.k != 1:
+            raise SchemaMismatch(f"a module over F_{f.q} is not over F_{self.p}")
+        if set(mod.labels) != set(self.labels):
+            raise SchemaMismatch(f"labels {sorted(mod.labels)} are not {sorted(self.labels)}")
         e, fm, h = mod.ops["e"], mod.ops["f"], mod.ops["h"]
 
         def bracket(a, b):
             return f.sub(f.matmul(a, b), f.matmul(b, a))
 
         zero = f.zeros(mod.dim, mod.dim)
-        assert np.array_equal(bracket(e, fm), h)
-        assert np.array_equal(bracket(h, e), f.mul(e, 2))
-        assert np.array_equal(bracket(h, fm), f.mul(fm, f.normalize(-2)))
-        assert np.array_equal(f.matpow(e, self.p), zero)
-        assert np.array_equal(f.matpow(fm, self.p), zero)
-        assert np.array_equal(f.matpow(h, self.p), h)
+        relations = [
+            ("[e, f] = h", bracket(e, fm), h),
+            ("[h, e] = 2e", bracket(h, e), f.mul(e, 2)),
+            ("[h, f] = -2f", bracket(h, fm), f.mul(fm, f.normalize(-2))),
+            ("e^p = 0", f.matpow(e, self.p), zero),
+            ("f^p = 0", f.matpow(fm, self.p), zero),
+            ("h^p = h", f.matpow(h, self.p), h),
+        ]
         if self.r == 2:
             ep, fp = mod.ops["e_p"], mod.ops["f_p"]
-            assert np.array_equal(bracket(h, ep), zero)
-            assert np.array_equal(bracket(h, fp), zero)
-            assert np.array_equal(bracket(e, ep), zero)
-            assert np.array_equal(bracket(fm, fp), zero)
-            assert np.array_equal(f.matpow(ep, self.p), zero)
-            assert np.array_equal(f.matpow(fp, self.p), zero)
+            relations += [
+                ("[h, e_p] = 0", bracket(h, ep), zero),
+                ("[h, f_p] = 0", bracket(h, fp), zero),
+                ("[e, e_p] = 0", bracket(e, ep), zero),
+                ("[f, f_p] = 0", bracket(fm, fp), zero),
+                ("e_p^p = 0", f.matpow(ep, self.p), zero),
+                ("f_p^p = 0", f.matpow(fp, self.p), zero),
+            ]
+        for name, got, want in relations:
+            if not np.array_equal(got, want):
+                raise CertificateError(f"relation {name} fails at p = {self.p}, r = {self.r}")
 
 
 def schema_of(mod: FpModule) -> Sl2Schema:
@@ -332,71 +347,45 @@ def restricted_simples(p: int) -> dict[str, FpModule]:
 
 
 @lru_cache(maxsize=None)
-def _simples_library(p: int) -> ModuleLibrary:
-    """The level-1 simples alone, validated once for both cover builders."""
-    return ModuleLibrary(restricted_simples(p))
-
-
-def _summand_with_top(parts, lib, key, want_dim, context):
-    found = [
-        q
-        for q in parts
-        if q.dim == want_dim and top_multiplicities(_as_level1(q), lib) == {key: 1}
-    ]
-    if len(found) != 1:
-        raise RuntimeError(
-            f"{context}: expected exactly one summand of dim {want_dim} "
-            f"with top {key}, found {len(found)}"
-        )
-    return found[0]
-
-
-def _as_level1(mod):
-    return restrict_to_r1(mod) if set(mod.labels) == set(R2_LABELS) else mod
-
-
-@lru_cache(maxsize=None)
 def restricted_projectives(p: int) -> dict[str, FpModule]:
-    """Projective covers of the r = 1 simples.
+    """Projective covers of the r = 1 simples, restricted from their level-2 lifts.
 
-    The cover of the top-weight simple is that simple itself.  Every
-    other cover is split off the tensor of the top-weight simple with a
-    complementary simple; the summand is identified by its dimension 2p
-    and its simple top, which pins it down because tensoring with a
-    projective module yields projectives.
+    The restriction of each lift is a summand of the projective module
+    St (x) L, has simple top L(lam) and dimension 2p, so it is P(lam).
     """
-    schema = Sl2Schema(p, 1)
-    lib = _simples_library(p)
-    st = steinberg(schema)
-    out = {simple_key(p - 1): st}
-    for lam in range(p - 1):
-        parts = decompose(tensor(st, build_simple(schema, p - 1 - lam)))
-        out[simple_key(lam)] = _summand_with_top(
-            parts, lib, simple_key(lam), 2 * p, f"r=1 cover of weight {lam}"
-        )
-    total = sum(out[k].dim * lib.simples[k].dim for k in out)
-    assert total == p**3, "cover dimensions do not exhaust the algebra"
-    return out
+    return {simple_key(lam): restrict_to_r1(q) for lam, q in lifted_projectives(p).items()}
 
 
 @lru_cache(maxsize=None)
 def lifted_projectives(p: int) -> dict[int, FpModule]:
     """Level-2 module structures on the r = 1 projective covers.
 
-    The level-2 tensor of two restricted simples carries divided-power
-    actions through the coproduct middle terms, and its indecomposable
-    summands restrict to the r = 1 covers.  Keyed by the weight of the
-    simple top of the restriction.
+    The cover of the top-weight simple is that simple itself.  Every
+    other cover is split off the level-2 tensor of the top-weight simple
+    with a complementary simple, whose divided powers act through the
+    coproduct middle terms; the summand is identified by its dimension
+    2p and the simple top of its restriction, which pins it down because
+    tensoring with a projective module yields projectives.  Keyed by the
+    weight of that top.
     """
     schema1 = Sl2Schema(p, 1)
-    lib = _simples_library(p)
+    lib = ModuleLibrary(restricted_simples(p))
     st2 = restricted_as_r2(steinberg(schema1))
     out = {p - 1: st2}
     for lam in range(p - 1):
         parts = decompose(tensor(st2, restricted_as_r2(build_simple(schema1, p - 1 - lam))))
-        out[lam] = _summand_with_top(
-            parts, lib, simple_key(lam), 2 * p, f"level-2 lift of cover {lam}"
-        )
+        key = simple_key(lam)
+        found = [
+            q
+            for q in parts
+            if q.dim == 2 * p and top_multiplicities(restrict_to_r1(q), lib) == {key: 1}
+        ]
+        if len(found) != 1:
+            raise RuntimeError(
+                f"level-2 lift of cover {lam}: expected exactly one summand of dim {2 * p} "
+                f"with top {key}, found {len(found)}"
+            )
+        out[lam] = found[0]
     return out
 
 
@@ -418,30 +407,38 @@ def hyper_projectives(p: int) -> dict[str, FpModule]:
     """Projective covers of the r = 2 simples.
 
     Constructed as (lifted cover of the low digit) tensor (twist of the
-    r = 1 cover of the high digit).  The dimension count against the
-    simples confirms the library exhausts the level-2 algebra.
+    r = 1 cover of the high digit).
     """
     lifted = lifted_projectives(p)
     covers1 = restricted_projectives(p)
-    simples = hyper_simples(p)
     out = {}
     for lam1 in range(p):
         twisted = frobenius_twist(covers1[simple_key(lam1)])
         for lam0 in range(p):
             out[simple_key(lam0 + p * lam1)] = tensor(lifted[lam0], twisted)
-    total = sum(out[k].dim * simples[k].dim for k in out)
-    assert total == p**6, "cover dimensions do not exhaust the level-2 algebra"
     return out
 
 
 @lru_cache(maxsize=None)
 def library(p: int, r: int) -> ModuleLibrary:
-    """The simples and projective covers at kernel level r, validated once."""
+    """The simples and projective covers at kernel level r, validated once.
+
+    Besides the checks of ModuleLibrary, the covers must exhaust the
+    algebra: the regular module of the level-r kernel, of dimension
+    p^(3r), is the sum of the covers P(S), each dim S times.
+    """
     if r == 1:
-        return ModuleLibrary(restricted_simples(p), restricted_projectives(p))
-    if r == 2:
-        return ModuleLibrary(hyper_simples(p), hyper_projectives(p))
-    raise ValueError(f"kernel level r = {r} not supported")
+        lib = ModuleLibrary(restricted_simples(p), restricted_projectives(p))
+    elif r == 2:
+        lib = ModuleLibrary(hyper_simples(p), hyper_projectives(p))
+    else:
+        raise ValueError(f"kernel level r = {r} not supported")
+    total = sum(q.dim * lib.simples[k].dim for k, q in lib.projectives.items())
+    if total != p ** (3 * r):
+        raise CertificateError(
+            f"sum of dim P(S) * dim S is {total}, not p^{3 * r} = {p ** (3 * r)}"
+        )
+    return lib
 
 
 # -- rank varieties -------------------------------------------------------
@@ -594,8 +591,6 @@ def verify_dr2(p: int) -> CheckReport:
     weight lam is isomorphic to the Frobenius twist of the level-1
     module of weight mu tensored with the top-weight simple.
     """
-    if p not in (3, 5):
-        raise UnsupportedPrime(f"level-2 computations are wired for p in {{3, 5}}, not {p}")
     schema1 = Sl2Schema(p, 1)
     schema2 = Sl2Schema(p, 2)
     st2 = restricted_as_r2(steinberg(schema1))
@@ -747,8 +742,6 @@ def verify_vv4_filtration(p: int) -> CheckReport:
     the sum of p level-1 Verma characters whose highest weights all lie
     in the block of lam mod p.
     """
-    if p not in (3, 5):
-        raise UnsupportedPrime(f"level-2 computations are wired for p in {{3, 5}}, not {p}")
     schema = Sl2Schema(p, 2)
     rs = build_root_system(CartanSpec.from_type("A1"))
     f = schema.field

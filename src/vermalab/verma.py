@@ -88,7 +88,7 @@ def depth_reduce(rs: RootSystem, lam: Weight, p: int, r: int) -> tuple[int, Weig
     for x in lam:
         num = x - (q - 1)
         if num % q != 0:
-            raise AssertionError("depth guarantees divisibility; got a remainder")
+            raise CertificateError(f"depth {dep} leaves a remainder reducing {lam}")
         mu.append(num // q)
     mu = tuple(mu)
     mu_depth = depth(rs, mu, p)

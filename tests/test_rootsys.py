@@ -5,16 +5,13 @@ import oracles
 from vermalab.rootsys import (
     CartanSpec,
     NotFiniteType,
-    add_weights,
     apply_weyl,
     build_root_system,
     dot_action,
-    in_alcove_c0,
     is_good_prime,
     is_pr_regular,
     pairing,
     psi_set,
-    restricted_decompose,
 )
 
 TYPES = ["A1", "A2", "B2", "G2", "A1xA1"]
@@ -137,25 +134,6 @@ def test_psi_and_regularity_sl2():
     assert is_pr_regular(rs, (2,), 5, 1)
 
 
-def test_alcove_examples():
-    rs = rs_of("A1")
-    assert in_alcove_c0(rs, (2,), 5)
-    assert not in_alcove_c0(rs, (4,), 5)
-    assert not in_alcove_c0(rs, (-1,), 5)
-    a2 = rs_of("A2")
-    assert in_alcove_c0(a2, (0, 0), 5)      # pairings 1, 1, 2
-    assert in_alcove_c0(a2, (1, 1), 5)      # pairings 2, 2, 4
-    assert not in_alcove_c0(a2, (1, 1), 3)
-
-
-def test_restricted_decompose_examples():
-    assert restricted_decompose((9,), 5, 1) == ((4,), (1,))
-    assert restricted_decompose((-3,), 5, 1) == ((2,), (-1,))
-    assert restricted_decompose((24,), 5, 2) == ((24,), (0,))
-    assert restricted_decompose((7, -7), 3, 1) == ((1, 2), (2, -3))
-
-
-weights2 = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
 primes = st.sampled_from([3, 5, 7])
 
 
@@ -193,14 +171,6 @@ def test_psi_size_invariant_under_dot_action(name, a, b, p, r):
     base = len(psi_set(rs, lam, p, r))
     for w in rs.weyl:
         assert len(psi_set(rs, dot_action(rs, w, lam), p, r)) == base
-
-
-@settings(max_examples=80)
-@given(weights2, primes, st.integers(1, 3))
-def test_restricted_decompose_roundtrip(lam, p, r):
-    lam0, lam1 = restricted_decompose(lam, p, r)
-    assert all(0 <= x < p**r for x in lam0)
-    assert add_weights(lam0, tuple(p**r * y for y in lam1)) == lam
 
 
 @pytest.mark.parametrize("name", TYPES)

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ import vermalab.sl2
 from oracles import intertwiner_basis
 from vermalab.gf import GF
 from vermalab.modules import (
+    CertificateError,
     ModuleLibrary,
     SchemaMismatch,
     ext1_dim,
@@ -91,6 +97,34 @@ def test_schema_validation():
     with pytest.raises(ValueError):
         Sl2Schema(5, 3)
     assert Sl2Schema(5, 2).labels == ("e", "f", "h", "e_p", "f_p")
+
+
+def run_optimized(code):
+    # python -O strips asserts; the checks under test must still refuse
+    env = {**os.environ, "PYTHONPATH": str(Path(vermalab.sl2.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split("\n")[:-1]
+
+
+def test_schema_check_survives_optimized_python():
+    code = (
+        "from vermalab.modules import CertificateError, FpModule, SchemaMismatch\n"
+        "from vermalab.sl2 import Sl2Schema, build_simple\n"
+        "schema = Sl2Schema(5, 1)\n"
+        "s = build_simple(schema, 2)\n"
+        "bad = FpModule(s.field, s.dim, {**s.ops, 'e': s.field.mul(s.ops['e'], 2)})\n"
+        "for check, mod in ((schema, bad), (Sl2Schema(3, 1), s), (Sl2Schema(5, 2), s)):\n"
+        "    try:\n"
+        "        check.check(mod)\n"
+        "    except (CertificateError, SchemaMismatch) as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    got = run_optimized(code)
+    assert got[0] == "CertificateError relation [e, f] = h fails at p = 5, r = 1"
+    assert [line.split()[0] for line in got[1:]] == ["SchemaMismatch", "SchemaMismatch"]
 
 
 def test_schema_of_rejects_foreign_labels():
@@ -278,8 +312,9 @@ def test_heart_computes_each_hom_from_a_simple_once(monkeypatch):
 
 
 def test_cover_builders_validate_the_simples_once(monkeypatch):
-    # both level-1 cover builders share one library of the simples, so
-    # End(S) is checked once per simple, not once per builder
+    # the level-1 covers are the restrictions of their level-2 lifts, so
+    # building both tables decomposes each tensor once and checks End(S)
+    # once per simple
     p = 3
     simples = list(restricted_simples(p).values())
     calls = []
@@ -289,13 +324,36 @@ def test_cover_builders_validate_the_simples_once(monkeypatch):
         return hom_space(m, n)
 
     monkeypatch.setattr(vermalab.modules, "hom_space", counting)
-    vermalab.sl2._simples_library.cache_clear()
-    restricted_projectives.__wrapped__(p)
-    lifted_projectives.__wrapped__(p)
+    for name in ("restricted_projectives", "lifted_projectives"):
+        fresh = lru_cache(getattr(vermalab.sl2, name).__wrapped__)
+        monkeypatch.setattr(vermalab.sl2, name, fresh)
+    vermalab.sl2.restricted_projectives(p)
+    vermalab.sl2.lifted_projectives(p)
     monkeypatch.undo()
     validations = [m for m, n in calls if m is n and any(m is s for s in simples)]
     assert len(validations) == p
-    assert len(calls) == 27  # 30 with a library per builder
+    assert len(calls) == 15  # 27 when each level decomposed its own tensor
+
+
+def test_library_checks_that_the_covers_exhaust_the_algebra(monkeypatch):
+    covers = {**restricted_projectives(3), "L0": restricted_simples(3)["L0"]}
+    monkeypatch.setattr(vermalab.sl2, "restricted_projectives", lambda p: covers)
+    with pytest.raises(CertificateError, match="p\\^3 = 27"):
+        library.__wrapped__(3, 1)
+
+
+def test_library_completeness_survives_optimized_python():
+    code = (
+        "import vermalab.sl2 as sl2\n"
+        "from vermalab.modules import CertificateError\n"
+        "covers = {**sl2.restricted_projectives(3), 'L0': sl2.restricted_simples(3)['L0']}\n"
+        "sl2.restricted_projectives = lambda p: covers\n"
+        "try:\n"
+        "    sl2.library.__wrapped__(3, 1)\n"
+        "except CertificateError:\n"
+        "    print('refused')\n"
+    )
+    assert run_optimized(code) == ["refused"]
 
 
 def test_vermas_of_distinct_weights_not_isomorphic():

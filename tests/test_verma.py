@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vermalab.verma
 from oracles import brute_depth, brute_lattice_member
+from vermalab.modules import CertificateError
 from vermalab.rootsys import (
     CartanSpec,
     add_weights,
@@ -148,6 +150,13 @@ def test_depth_reduce_sl3():
     lam = tuple(p * m + (p - 1) for m in mu)
     assert depth(RS3, lam, p) == 2
     assert depth_reduce(RS3, lam, p, 2) == (1, mu)
+
+
+def test_depth_reduce_remainder_is_a_certificate_error(monkeypatch):
+    # weight 0 has depth 1 at p = 5; a depth of 2 would need 5 | 0 - 4
+    monkeypatch.setattr(vermalab.verma, "depth", lambda rs, lam, p: 2)
+    with pytest.raises(CertificateError, match="remainder"):
+        depth_reduce(RS2, (0,), 5, 2)
 
 
 def test_depth_reduce_rejects_out_of_range():
