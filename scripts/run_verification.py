@@ -11,7 +11,7 @@ import sys
 import time
 
 from vermalab.heisenberg import dimension_fit
-from vermalab.sl2 import run_sl2_suites
+from vermalab.sl2 import level_suites
 
 
 def main() -> int:
@@ -23,10 +23,9 @@ def main() -> int:
     rows = []
     ok = True
     for p, r in [(3, 1), (3, 2), (5, 1), (5, 2)]:
-        start = time.perf_counter()
-        reports = run_sl2_suites(p, r, seed=args.seed)
-        batch_seconds = round(time.perf_counter() - start, 2)
-        for rep in reports:
+        for suite in level_suites(p, r, seed=args.seed):
+            start = time.perf_counter()
+            rep = suite()
             rows.append(
                 {
                     "suite": rep.check,
@@ -34,7 +33,7 @@ def main() -> int:
                     "r": r,
                     "cases": len(rep.cases),
                     "pass": rep.passed,
-                    "seconds": batch_seconds,
+                    "seconds": round(time.perf_counter() - start, 2),
                 }
             )
             ok = ok and rep.passed

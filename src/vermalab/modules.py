@@ -16,9 +16,9 @@ one nullspace per layer.  Projectivity is decided by a dimension count
 against the library's covers, without building a syzygy.
 
 Randomized procedures take explicit seeds and either return a
-certificate that is re-verified on the spot or raise Undecided.  The
-hom-space certificates raise CertificateError, which, unlike assert,
-python -O does not strip.
+certificate that is re-verified on the spot or raise Undecided.  A
+failed check raises CertificateError, which, unlike assert, python -O
+does not strip.
 """
 from __future__ import annotations
 
@@ -306,9 +306,8 @@ def submodule_from_columns(m: FpModule, cols) -> tuple[FpModule, np.ndarray]:
             raise ValueError(f"columns are not stable under operator {label}")
     sub = FpModule(f, k, ops)
     for label in m.labels:
-        assert np.array_equal(
-            f.matmul(m.ops[label], basis), f.matmul(basis, sub.ops[label])
-        )
+        if not np.array_equal(f.matmul(m.ops[label], basis), f.matmul(basis, sub.ops[label])):
+            raise CertificateError(f"inclusion of the submodule fails to intertwine {label}")
     return sub, basis
 
 
@@ -325,7 +324,8 @@ def quotient_by_columns(m: FpModule, cols) -> tuple[FpModule, np.ndarray, np.nda
     basis = f.column_space_basis(cols)
     k = basis.shape[1]
     full = f.column_space_basis(np.hstack([basis, f.identity(m.dim)]))
-    assert full.shape[1] == m.dim
+    if full.shape[1] != m.dim:
+        raise CertificateError("extended basis does not span the module")
     pinv = f.inverse(full)
     ops = {}
     for label, mat in m.ops.items():
@@ -447,7 +447,7 @@ def projective_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
     """Minimal projective cover, assembled summand by summand.
 
     The chosen maps induce an isomorphism on tops, which is what makes
-    the cover minimal; surjectivity is asserted on the result.
+    the cover minimal; surjectivity is checked on the result.
     """
     f = m.field
     if m.dim == 0:
@@ -470,14 +470,15 @@ def projective_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
                 covered = trial
                 chosen.append((label, phi))
                 got += 1
-        assert got == want, f"could not reach top multiplicity for {label}"
+        if got != want:
+            raise CertificateError(f"could not reach top multiplicity for {label}")
     cover = direct_sum([lib.projectives[label] for label, _ in chosen])
     theta = np.hstack([phi for _, phi in chosen])
-    assert f.rank(theta) == m.dim, "cover map is not surjective"
+    if f.rank(theta) != m.dim:
+        raise CertificateError("cover map is not surjective")
     for label in m.labels:
-        assert np.array_equal(
-            f.matmul(theta, cover.ops[label]), f.matmul(m.ops[label], theta)
-        )
+        if not np.array_equal(f.matmul(theta, cover.ops[label]), f.matmul(m.ops[label], theta)):
+            raise CertificateError(f"cover map fails to intertwine {label}")
     return ProjectiveCover(cover, theta, [label for label, _ in chosen])
 
 
@@ -494,7 +495,8 @@ def syzygy(m: FpModule, lib: ModuleLibrary) -> SyzygyData:
     f = m.field
     kernel = f.nullspace(cover.map) if cover.module.dim else f.zeros(0, 0)
     omega, incl = submodule_from_columns(cover.module, kernel)
-    assert omega.dim == cover.module.dim - m.dim
+    if omega.dim != cover.module.dim - m.dim:
+        raise CertificateError("syzygy dimension is not dim(cover) - dim(module)")
     return SyzygyData(omega, incl, cover)
 
 
@@ -515,7 +517,8 @@ def ext1_dim(m: FpModule, n: FpModule, lib: ModuleLibrary) -> int:
         return len(homs)
     f = m.field
     stacked = np.stack([h.reshape(-1) for h in homs + coboundaries])
-    assert f.rank(stacked) == len(homs), "coboundary escaped Hom(syzygy, n)"
+    if f.rank(stacked) != len(homs):
+        raise CertificateError("coboundary escaped Hom(syzygy, n)")
     return len(homs) - f.rank(np.stack([h.reshape(-1) for h in coboundaries]))
 
 
@@ -564,11 +567,13 @@ def build_extension(n: FpModule, syz: SyzygyData, cocycle) -> ExtensionData:
     cocycle = f.normalize(np.asarray(cocycle, dtype=np.int64))
     if cocycle.size == 0:
         cocycle = cocycle.reshape(n.dim, omega.dim)
-    assert cocycle.shape == (n.dim, omega.dim)
+    if cocycle.shape != (n.dim, omega.dim):
+        raise CertificateError(f"cocycle has shape {cocycle.shape}, not {(n.dim, omega.dim)}")
     for label in omega.labels:
         lhs = f.matmul(cocycle, omega.ops[label])
         rhs = f.matmul(n.ops[label], cocycle)
-        assert np.array_equal(lhs, rhs), "cocycle is not a module map"
+        if not np.array_equal(lhs, rhs):
+            raise CertificateError("cocycle is not a module map")
 
     ambient = direct_sum([n, cover])
     graph = np.vstack([cocycle, f.neg(syz.inclusion)])
@@ -577,17 +582,21 @@ def build_extension(n: FpModule, syz: SyzygyData, cocycle) -> ExtensionData:
     incl = projection_to_total[:, : n.dim]
     mdim = syz.cover.map.shape[0]
     onto_m = np.hstack([f.zeros(mdim, n.dim), syz.cover.map])
-    assert not np.any(f.matmul(onto_m, graph)), "cover map must kill the graph"
+    if np.any(f.matmul(onto_m, graph)):
+        raise CertificateError("cover map must kill the graph")
     proj = f.matmul(onto_m, section)
 
-    assert total.dim == mdim + n.dim
-    assert f.rank(incl) == n.dim
-    assert f.rank(proj) == mdim
-    assert not np.any(f.matmul(proj, incl))
+    if total.dim != mdim + n.dim:
+        raise CertificateError("extension dimension is not dim(m) + dim(n)")
+    if f.rank(incl) != n.dim:
+        raise CertificateError("extension inclusion is not injective")
+    if f.rank(proj) != mdim:
+        raise CertificateError("extension projection is not surjective")
+    if np.any(f.matmul(proj, incl)):
+        raise CertificateError("extension projection does not kill the inclusion")
     for label in n.labels:
-        assert np.array_equal(
-            f.matmul(total.ops[label], incl), f.matmul(incl, n.ops[label])
-        )
+        if not np.array_equal(f.matmul(total.ops[label], incl), f.matmul(incl, n.ops[label])):
+            raise CertificateError(f"extension inclusion fails to intertwine {label}")
     return ExtensionData(total, incl, proj)
 
 
@@ -623,7 +632,8 @@ def is_isomorphic(m: FpModule, n: FpModule, seed: int = 0) -> IsoResult:
         if not f.is_invertible(h):
             return None
         for label in m.labels:
-            assert np.array_equal(f.matmul(h, m.ops[label]), f.matmul(n.ops[label], h))
+            if not np.array_equal(f.matmul(h, m.ops[label]), f.matmul(n.ops[label], h)):
+                raise CertificateError(f"isomorphism witness fails to intertwine {label}")
         return IsoResult(True, h)
 
     for h in homs:
@@ -671,8 +681,8 @@ def fitting_split(m: FpModule, endo):
     r = image.shape[1]
     if r == 0 or r == m.dim:
         raise ValueError("endomorphism power gives no proper splitting")
-    assert r + kernel.shape[1] == m.dim
-    assert f.rank(np.hstack([image, kernel])) == m.dim
+    if r + kernel.shape[1] != m.dim or f.rank(np.hstack([image, kernel])) != m.dim:
+        raise CertificateError("stable image and kernel do not split the module")
     return submodule_from_columns(m, image), submodule_from_columns(m, kernel)
 
 
@@ -701,7 +711,7 @@ def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
         if 0 < r < m.dim:
             (a, _), (b, _) = fitting_split(m, h)
             return decompose(a, seed=seed + 1) + decompose(b, seed=seed + 2)
-    if is_indecomposable(m, seed=seed):
+    if _end_is_local(m, homs, seed):
         return [m]
     raise Undecided("module is decomposable but no splitting endomorphism was found")
 
@@ -747,7 +757,8 @@ def algebra_radical(mats: list[np.ndarray], field: GF) -> list[np.ndarray]:
         for y in current:
             for i, x in enumerate(current):
                 t = _integer_power_trace(field.matmul(x, y), p**k)
-                assert t % p**k == 0, "trace lift divisibility failed"
+                if t % p**k != 0:
+                    raise CertificateError("trace lift divisibility failed")
                 gram[row, i] = (t // p**k) % p
             row += 1
         combos = field.nullspace(gram[:row])
@@ -769,12 +780,13 @@ def algebra_radical(mats: list[np.ndarray], field: GF) -> list[np.ndarray]:
             for b in mats:
                 products.append(field.matmul(z, b).reshape(-1))
                 products.append(field.matmul(b, z).reshape(-1))
-        assert (
-            field.rank(np.hstack([flat_rad, np.column_stack(products)])) == base_rank
-        ), "radical candidate is not an ideal"
+        if field.rank(np.hstack([flat_rad, np.column_stack(products)])) != base_rank:
+            raise CertificateError("radical candidate is not an ideal")
         for z in current:
-            assert not np.any(field.matpow(z, n)), "radical element is not nilpotent"
-    assert field.rank(flat_alg) == len(mats), "algebra basis is dependent"
+            if np.any(field.matpow(z, n)):
+                raise CertificateError("radical element is not nilpotent")
+    if field.rank(flat_alg) != len(mats):
+        raise CertificateError("algebra basis is dependent")
     return current
 
 
@@ -931,8 +943,12 @@ def is_indecomposable(m: FpModule, seed: int = 0) -> bool:
     """
     if m.dim == 0:
         raise ValueError("the zero module has no meaningful answer here")
+    return _end_is_local(m, hom_space(m, m), seed)
+
+
+def _end_is_local(m: FpModule, homs: list[np.ndarray], seed: int) -> bool:
+    """is_indecomposable for a nonzero m, given a basis of End(m)."""
     f = m.field
-    homs = hom_space(m, m)
     if len(homs) == 1:
         return True
     rad = algebra_radical(homs, f)
@@ -985,7 +1001,8 @@ def eigenvalue_multiplicities(field: GF, mat) -> dict[int, int]:
         if k:
             out[c] = k
             total += k
-    assert total == n, "matrix is not diagonalizable over the prime field"
+    if total != n:
+        raise CertificateError("matrix is not diagonalizable over the prime field")
     return out
 
 

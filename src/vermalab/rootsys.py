@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -51,7 +53,7 @@ class CartanSpec:
                         raise NotFiniteType("off-diagonal entries must be <= 0")
                     if (m[i][j] == 0) != (m[j][i] == 0):
                         raise NotFiniteType("zero pattern must be symmetric")
-        if not _positive_definite(_symmetrize(m)):
+        if not _symmetrizes_to_positive_definite(tuple(map(tuple, m))):
             raise NotFiniteType("symmetrized matrix is not positive definite")
 
     @property
@@ -83,6 +85,17 @@ class CartanSpec:
         except ValueError:
             raise NotFiniteType(f"cannot parse Cartan matrix from {text!r}") from None
         return cls(rows)
+
+
+@lru_cache(maxsize=None)
+def _symmetrizes_to_positive_definite(m: Matrix) -> bool:
+    """The Fraction arithmetic of the finite-type check, once per matrix.
+
+    A spec is rebuilt for every query that names its matrix; lru_cache
+    keeps no exception, so a matrix that is not symmetrizable raises
+    every time.
+    """
+    return _positive_definite(_symmetrize(m))
 
 
 def _symmetrize(m: Matrix):
@@ -159,6 +172,18 @@ class RootSystem:
     @property
     def rho(self) -> Weight:
         return self.cartan.rho
+
+    @cached_property
+    def weyl_array(self) -> np.ndarray:
+        """The Weyl group as one read-only (|W|, rank, rank) int64 array."""
+        stack = np.array(self.weyl, dtype=np.int64)
+        stack.setflags(write=False)
+        return stack
+
+    @cached_property
+    def weyl_entry_bound(self) -> int:
+        """The largest absolute entry of any Weyl group matrix."""
+        return int(np.abs(self.weyl_array).max())
 
 
 def _mat_vec(m: Matrix, v) -> tuple[int, ...]:
@@ -256,9 +281,17 @@ def apply_weyl(w: Matrix, lam: Weight) -> Weight:
     return _mat_vec(w, lam)
 
 
-def dot_action(rs: RootSystem, w: Matrix, lam: Weight) -> Weight:
-    """w . lam = w(lam + rho) - rho."""
+def dot_action(rs: RootSystem, w, lam: Weight):
+    """w . lam = w(lam + rho) - rho.
+
+    `w` is one Weyl matrix, giving a Weight, or a (k, rank, rank) stack
+    of them, giving every w . lam at once as a (k, rank) array of the
+    stack's dtype (int64, or object for exact Python ints).
+    """
     shifted = add_weights(lam, rs.rho)
+    if isinstance(w, np.ndarray) and w.ndim == 3:
+        rho = np.array(rs.rho, dtype=w.dtype)
+        return w @ np.array(shifted, dtype=w.dtype) - rho
     return sub_weights(apply_weyl(w, shifted), rs.rho)
 
 

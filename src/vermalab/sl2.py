@@ -15,6 +15,7 @@ factorization of depth-reduced modules), which over-determine them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -297,7 +298,8 @@ def restrict_to_r1(mod: FpModule) -> FpModule:
 def _divided_power(mod: FpModule, label: str, i: int):
     # the i-th divided power of a primitive generator, valid for i < p
     f = mod.field
-    assert 0 < i < f.p
+    if not 0 < i < f.p:
+        raise ValueError(f"divided power {i} outside 0 < i < p = {f.p}")
     mat = f.matpow(mod.ops[label], i)
     return f.mul(mat, f.inv(math.factorial(i) % f.p))
 
@@ -773,15 +775,24 @@ def verify_vv4_filtration(p: int) -> CheckReport:
     return _finish("restriction-filtration", p, 2, cases)
 
 
-def run_sl2_suites(p: int, r: int, seed: int = 0) -> list[CheckReport]:
-    """All verification suites for one kernel level."""
+def level_suites(p: int, r: int, seed: int = 0) -> list[Callable[[], CheckReport]]:
+    """The verification suites of one kernel level, each a call yet to run.
+
+    Each entry looks its suite up by name when called, so it runs
+    whatever the module holds under that name at the time.
+    """
     if r == 1:
         return [
-            verify_vv6(p, 1),
-            verify_periodicity_and_tube(p),
-            verify_ar_middle_term(p, seed=seed),
-            verify_heart(p),
+            lambda: verify_vv6(p, 1),
+            lambda: verify_periodicity_and_tube(p),
+            lambda: verify_ar_middle_term(p, seed=seed),
+            lambda: verify_heart(p),
         ]
     if r == 2:
-        return [verify_vv6(p, 2), verify_dr2(p), verify_vv4_filtration(p)]
+        return [lambda: verify_vv6(p, 2), lambda: verify_dr2(p), lambda: verify_vv4_filtration(p)]
     raise ValueError(f"kernel level r = {r} not supported")
+
+
+def run_sl2_suites(p: int, r: int, seed: int = 0) -> list[CheckReport]:
+    """All verification suites for one kernel level."""
+    return [suite() for suite in level_suites(p, r, seed)]

@@ -9,6 +9,9 @@ fail are simply absent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .gf import is_prime
 from .modules import CertificateError
@@ -23,7 +26,6 @@ from .rootsys import (
     is_pr_regular,
     pairing,
     psi_set,
-    sub_weights,
 )
 
 NEG_INFINITY = float("-inf")
@@ -169,32 +171,49 @@ class _Lattice:
 
     diag: tuple[int, ...]
     u: tuple[tuple[int, ...], ...]
-    ambient: int
+
+    def members(self, vs: np.ndarray) -> np.ndarray:
+        """Which rows of vs lie in the lattice, computed in vs's dtype.
+
+        v is in the lattice when U v is divisible by the Smith diagonal,
+        entry by entry, and vanishes past it.
+        """
+        images = vs @ np.array(self.u, dtype=vs.dtype).T
+        k = len(self.diag)
+        on_diag = images[:, :k] % np.array(self.diag, dtype=vs.dtype) == 0
+        return on_diag.all(axis=1) & (images[:, k:] == 0).all(axis=1)
 
     def contains(self, v) -> bool:
-        w = [sum(row[i] * v[i] for i in range(self.ambient)) for row in self.u]
-        for i, x in enumerate(w):
-            if i < len(self.diag):
-                if x % self.diag[i] != 0:
-                    return False
-            elif x != 0:
-                return False
-        return True
+        return bool(self.members(np.array([v], dtype=object))[0])
+
+    @cached_property
+    def entry_bound(self) -> int:
+        """The largest absolute entry of U and of the Smith diagonal."""
+        return max(abs(x) for x in self.diag + sum(self.u, ()))
 
 
 def translation_lattice(rs: RootSystem, dep: int | float, p: int, r: int) -> _Lattice:
     """The lattice p^depth * (root lattice) + p^r * (weight lattice)."""
-    n = rs.rank
+    return _translation_lattice(rs.cartan, dep, p, r)
+
+
+@lru_cache(maxsize=1024)
+def _translation_lattice(spec: CartanSpec, dep: int | float, p: int, r: int) -> _Lattice:
+    n = spec.rank
     cols = []
     if dep != NEG_INFINITY:
         scale = p ** int(dep)
         for j in range(n):
-            cols.append([scale * rs.cartan.matrix[i][j] for i in range(n)])
+            cols.append([scale * spec.matrix[i][j] for i in range(n)])
     for i in range(n):
         cols.append([p**r if t == i else 0 for t in range(n)])
     m = [[col[i] for col in cols] for i in range(n)]
     diag, u = smith_diagonalize(m)
-    return _Lattice(tuple(diag), tuple(tuple(row) for row in u), n)
+    return _Lattice(tuple(diag), tuple(tuple(row) for row in u))
+
+
+# int64 holds every intermediate whose absolute value stays below this
+_INT64_SAFE = 2**62
 
 
 def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -> bool:
@@ -203,13 +222,21 @@ def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -
     The block is the union over Weyl elements w of
     (w . lam) + p^depth(lam) * (root lattice) + p^r * (weight lattice),
     with the convention that p^depth vanishes at depth minus infinity.
+    Every w . lam comes from one product with the stacked Weyl group,
+    and one product with the lattice's U decides all of them.  The
+    products run in int64 when a bound on every intermediate is below
+    2^62, and on exact Python ints otherwise.
     """
     lattice = translation_lattice(rs, depth(rs, lam, p), p, r)
-    for w in rs.weyl:
-        moved = dot_action(rs, w, lam)
-        if lattice.contains(sub_weights(gamma, moved)):
-            return True
-    return False
+    n = rs.rank
+    # every partial sum of w(lam + rho) is at most n * max|w_ij| * max|lam + rho|,
+    # and every partial sum of U (gamma - w . lam) at most n * max|u_ij| times
+    # the bound on gamma - w . lam
+    moved_bound = n * rs.weyl_entry_bound * max(abs(x) for x in add_weights(lam, rs.rho)) + 1
+    diff_bound = max(abs(g) for g in gamma) + moved_bound
+    dtype = np.int64 if n * lattice.entry_bound * diff_bound < _INT64_SAFE else object
+    moved = dot_action(rs, rs.weyl_array.astype(dtype, copy=False), lam)
+    return bool(lattice.members(np.array(gamma, dtype=dtype) - moved).any())
 
 
 # -- classification report ---------------------------------------------

@@ -117,6 +117,84 @@ def brute_lattice_member(columns, v, bound):
     return False
 
 
+def _ext_gcd(a, b):
+    """(g, s, t) with g = gcd(a, b) >= 0 and g = s*a + t*b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def lattice_echelon(columns):
+    """Echelon basis of the integer span of the columns, by extended gcd.
+
+    Returns {i: vector} where the vector's first nonzero coordinate is i.
+    Each new column is merged into the basis by unimodular 2x2 steps.
+    """
+    echelon = {}
+    for col in columns:
+        v = list(col)
+        for i in range(len(v)):
+            if v[i] == 0:
+                continue
+            b = echelon.get(i)
+            if b is None:
+                echelon[i] = v
+                break
+            g, s, t = _ext_gcd(b[i], v[i])
+            bi, vi = b[i] // g, v[i] // g
+            echelon[i] = [s * x + t * y for x, y in zip(b, v)]
+            v = [bi * y - vi * x for x, y in zip(b, v)]
+    return echelon
+
+
+def echelon_contains(echelon, v):
+    """Is v in the span of an echelon basis?  Back substitution."""
+    v = list(v)
+    for i in range(len(v)):
+        if v[i] == 0:
+            continue
+        b = echelon.get(i)
+        if b is None or v[i] % b[i] != 0:
+            return False
+        c = v[i] // b[i]
+        v = [y - c * x for x, y in zip(b, v)]
+    return True
+
+
+def walk_block_contains(rs, gamma, lam, p, r):
+    """Block membership by walking the Weyl group one element at a time.
+
+    gamma is in the block of lam at level r when gamma - w.lam lies in
+    p^depth(lam) * (root lattice) + p^r * (weight lattice) for some Weyl
+    element w.  Depth comes from brute_depth, the lattice test from an
+    echelon form; of the package only the root system's data is used.
+    """
+    n = rs.rank
+    a = rs.cartan.matrix
+    shifted = [x + h for x, h in zip(lam, rs.rho)]
+    pairings = [
+        sum(c * x for c, x in zip(root.coroot_coeffs, shifted))
+        for root in rs.positive_roots
+    ]
+    dep = brute_depth(pairings, p, s_max=256)
+    columns = []
+    if dep is not None:
+        columns += [[p**dep * a[i][j] for i in range(n)] for j in range(n)]
+    columns += [[p**r if t == i else 0 for t in range(n)] for i in range(n)]
+    echelon = lattice_echelon(columns)
+    for w in rs.weyl:
+        moved = [sum(w[i][j] * shifted[j] for j in range(n)) - rs.rho[i] for i in range(n)]
+        if echelon_contains(echelon, [g - m for g, m in zip(gamma, moved)]):
+            return True
+    return False
+
+
 def positive_definite(M):
     """Sylvester's criterion with exact rational arithmetic."""
     n = len(M)

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import numpy as np
 import oracles
+import vermalab.rootsys
 from vermalab.rootsys import (
     CartanSpec,
     NotFiniteType,
@@ -122,6 +124,44 @@ def test_sl2_dot_action_is_reflection_minus_two():
     s = rs.weyl[1]
     for lam in range(-10, 10):
         assert dot_action(rs, s, (lam,)) == (-lam - 2,)
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_dot_action_on_the_weyl_stack_matches_each_matrix(name):
+    rs = rs_of(name)
+    stack = rs.weyl_array
+    assert stack.shape == (len(rs.weyl), rs.rank, rs.rank)
+    assert stack.dtype == np.int64 and not stack.flags.writeable
+    for lam in [(0,) * rs.rank, tuple(range(-2, rs.rank - 2)), (7,) * rs.rank]:
+        got = dot_action(rs, stack, lam)
+        assert got.shape == (len(rs.weyl), rs.rank)
+        exact = dot_action(rs, stack.astype(object), lam)
+        for w, row, row_exact in zip(rs.weyl, got, exact):
+            want = dot_action(rs, w, lam)
+            assert isinstance(want, tuple)
+            assert tuple(int(x) for x in row) == want == tuple(row_exact)
+
+
+def test_finite_type_check_runs_once_per_matrix(monkeypatch):
+    calls = []
+    real = vermalab.rootsys._positive_definite
+
+    def counting(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(vermalab.rootsys, "_positive_definite", counting)
+    vermalab.rootsys._symmetrizes_to_positive_definite.cache_clear()
+    for _ in range(3):
+        CartanSpec.parse("2,-1,0,0;-1,2,-2,0;0,-1,2,-1;0,0,-1,2")
+    assert len(calls) == 1
+    # a failed check raises on every call, cached or not
+    not_symmetrizable = ((2, -1, -1), (-1, 2, -1), (-2, -1, 2))
+    for _ in range(2):
+        with pytest.raises(NotFiniteType, match="not positive definite"):
+            CartanSpec(((2, -1), (-4, 2)))
+        with pytest.raises(NotFiniteType, match="not symmetrizable"):
+            CartanSpec(not_symmetrizable)
 
 
 def test_psi_and_regularity_sl2():

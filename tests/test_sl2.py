@@ -332,7 +332,43 @@ def test_cover_builders_validate_the_simples_once(monkeypatch):
     monkeypatch.undo()
     validations = [m for m, n in calls if m is n and any(m is s for s in simples)]
     assert len(validations) == p
-    assert len(calls) == 15  # 27 when each level decomposed its own tensor
+    # 27 when each level decomposed its own tensor, 15 when decompose
+    # solved End(m) again for each summand it could not split
+    assert len(calls) == 13
+
+
+def test_decompose_reuses_its_endomorphism_basis(monkeypatch):
+    # decompose certifies an unsplit summand with the End(m) basis it
+    # already holds; a fallback to is_indecomposable solved End(m) again
+    real_hom, real_decompose = vermalab.modules.hom_space, vermalab.modules.decompose
+    inside = [0]
+    calls = []
+
+    def counting(m, n):
+        if inside[0]:
+            calls.append((m, n))
+        return real_hom(m, n)
+
+    def nested(m, seed=0):
+        inside[0] += 1
+        try:
+            return real_decompose(m, seed=seed)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(vermalab.modules, "hom_space", counting)
+    for owner in (vermalab.modules, vermalab.sl2):
+        monkeypatch.setattr(owner, "decompose", nested)
+    for p in (3, 5):
+        vermalab.sl2.lifted_projectives.__wrapped__(p)
+    assert len(calls) == 16  # 24 when the fallback recomputed End(m)
+
+
+def test_divided_power_rejects_out_of_range_exponents():
+    st1 = steinberg(Sl2Schema(3, 1))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="divided power"):
+            vermalab.sl2._divided_power(st1, "e", i)
 
 
 def test_library_checks_that_the_covers_exhaust_the_algebra(monkeypatch):

@@ -1,11 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vermalab.verma
-from oracles import brute_depth, brute_lattice_member
+from oracles import brute_depth, brute_lattice_member, walk_block_contains
 from vermalab.modules import CertificateError
 from vermalab.rootsys import (
     CartanSpec,
@@ -321,6 +322,140 @@ def test_block_contains_weyl_translates():
             moved = dot_action(RS3, w, lam)
             assert block_contains(RS3, moved, lam, 3, 2)
             assert block_contains(RS3, add_weights(moved, (9, 0)), lam, 3, 2)
+
+
+BLOCK_TYPES = {
+    "A1": CartanSpec.from_type("A1"),
+    "A2": CartanSpec.from_type("A2"),
+    "B2": CartanSpec.from_type("B2"),
+    "G2": CartanSpec.from_type("G2"),
+    "A1xA1": CartanSpec.from_type("A1xA1"),
+    "F4": CartanSpec(((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))),
+    "A5": CartanSpec(
+        tuple(
+            tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(5))
+            for i in range(5)
+        )
+    ),
+}
+
+
+def block_cases(rs, p, r, rng, base=0):
+    """(gamma, lam) pairs around `base`: a constructed member, the member
+    moved by a unit vector, and a random weight."""
+    n = rs.rank
+    span = 3 * p**r
+    lam = tuple(base + rng.randint(-span, span) for _ in range(n))
+    dep = depth(rs, lam, p)
+    moved = dot_action(rs, rng.choice(rs.weyl), lam)
+    shift = [p**r * rng.randint(-3, 3) for _ in range(n)]
+    if dep != NEG_INFINITY:
+        x = [rng.randint(-3, 3) for _ in range(n)]
+        a = rs.cartan.matrix
+        shift = [s + p ** int(dep) * sum(a[i][j] * x[j] for j in range(n))
+                 for i, s in enumerate(shift)]
+    member = add_weights(moved, tuple(shift))
+    nudged = add_weights(member, (1,) + (0,) * (n - 1))
+    other = tuple(base + rng.randint(-span, span) for _ in range(n))
+    return [(member, lam), (nudged, lam), (other, lam)]
+
+
+def record_dtypes(monkeypatch):
+    seen = []
+    real = vermalab.verma.dot_action
+
+    def spy(rs, w, lam):
+        seen.append(w.dtype)
+        got = real(rs, w, lam)
+        # the int64 product must equal the exact one
+        assert np.array_equal(got.astype(object), real(rs, w.astype(object), lam))
+        return got
+
+    monkeypatch.setattr(vermalab.verma, "dot_action", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", list(BLOCK_TYPES))
+def test_block_contains_matches_weyl_walk(name, monkeypatch):
+    import random
+
+    rs = build_root_system(BLOCK_TYPES[name])
+    rng = random.Random(sum(map(ord, name)))
+    seen = record_dtypes(monkeypatch)
+    answers = []
+    for p in (3, 5, 7, 11):
+        for r in (1, 2, 3):
+            for gamma, lam in block_cases(rs, p, r, rng):
+                want = walk_block_contains(rs, gamma, lam, p, r)
+                assert block_contains(rs, gamma, lam, p, r) == want, (gamma, lam, p, r)
+                answers.append(want)
+    assert set(seen) == {np.dtype(np.int64)}
+    assert answers.count(True) >= 12 and answers.count(False) >= 4
+
+
+@pytest.mark.parametrize("name, rounds", [("A2", 20), ("A5", 6)])
+def test_block_contains_matches_weyl_walk_at_uneven_smith_diagonal(name, rounds):
+    # 3 divides det of the type A2 and A5 Cartan matrices, so at p = 3 the
+    # Smith diagonal is uneven and the answer depends on every entry of U
+    import random
+
+    rs = build_root_system(BLOCK_TYPES[name])
+    rng = random.Random(3)
+    for _ in range(rounds):
+        for r in (1, 2, 3):
+            for gamma, lam in block_cases(rs, 3, r, rng):
+                want = walk_block_contains(rs, gamma, lam, 3, r)
+                assert block_contains(rs, gamma, lam, 3, r) == want, (gamma, lam, r)
+
+
+@pytest.mark.parametrize("name", list(BLOCK_TYPES))
+def test_block_contains_exact_beyond_int64(name, monkeypatch):
+    # coordinates near 2^60: w . lam and the product with U leave int64,
+    # so the decision runs on Python ints and must still agree
+    import random
+
+    rs = build_root_system(BLOCK_TYPES[name])
+    rng = random.Random(60 + len(name))
+    seen = record_dtypes(monkeypatch)
+    answers = []
+    for p, r in ((3, 1), (5, 2), (7, 3), (11, 2)):
+        for gamma, lam in block_cases(rs, p, r, rng, base=2**60):
+            want = walk_block_contains(rs, gamma, lam, p, r)
+            assert block_contains(rs, gamma, lam, p, r) == want, (gamma, lam, p, r)
+            answers.append(want)
+    assert set(seen) == {np.dtype(object)}
+    assert True in answers and False in answers
+
+
+def test_block_contains_int64_bound_edge(monkeypatch):
+    # A1 at p = 3, r = 1 with depth(lam) = 1: the lattice is 3Z, with U = (+-1)
+    # and Smith diagonal (3), so the bound is 3 * (|gamma| + |lam + 1| + 1)
+    lam = (2**60,)
+    below = (2**62 - 1) // 3 - (lam[0] + 1) - 1
+    seen = record_dtypes(monkeypatch)
+    for gamma in ((below,), (below + 1,), (-below,), (-below - 1,)):
+        want = walk_block_contains(RS2, gamma, lam, 3, 1)
+        assert block_contains(RS2, gamma, lam, 3, 1) == want
+        assert want == (gamma[0] % 3 in {lam[0] % 3, (-lam[0] - 2) % 3})
+    assert seen == [np.dtype(np.int64), np.dtype(object)] * 2
+
+
+def test_block_contains_one_dot_action_and_cached_lattice(monkeypatch):
+    calls = {"dot_action": 0, "smith_diagonalize": 0}
+    for name in calls:
+        real = getattr(vermalab.verma, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(vermalab.verma, name, counting)
+    vermalab.verma._translation_lattice.cache_clear()
+    rs = build_root_system(BLOCK_TYPES["F4"])
+    lam = (43, 87, 109, 65)
+    for gamma in ((54, 87, 109, 76), (55, 87, 109, 76)):
+        block_contains(rs, gamma, lam, 11, 1)
+    assert calls == {"dot_action": 2, "smith_diagonalize": 1}
 
 
 # -- classify ------------------------------------------------------------
