@@ -8,7 +8,7 @@ coordinates of the j-th simple root.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -162,7 +162,10 @@ class PositiveRoot:
 class RootSystem:
     cartan: CartanSpec
     positive_roots: tuple[PositiveRoot, ...]
-    weyl: tuple[Matrix, ...]
+    # The Weyl group as one read-only (|W|, rank, rank) int64 array, in
+    # breadth-first order by length.  It is determined by `cartan`, and an
+    # array has no usable == or hash, so it stays out of both.
+    weyl_array: np.ndarray = field(compare=False, repr=False)
     coxeter_number: int
 
     @property
@@ -174,11 +177,9 @@ class RootSystem:
         return self.cartan.rho
 
     @cached_property
-    def weyl_array(self) -> np.ndarray:
-        """The Weyl group as one read-only (|W|, rank, rank) int64 array."""
-        stack = np.array(self.weyl, dtype=np.int64)
-        stack.setflags(write=False)
-        return stack
+    def weyl(self) -> tuple[Matrix, ...]:
+        """The Weyl group as integer matrices, in the order of `weyl_array`."""
+        return tuple(tuple(map(tuple, w)) for w in self.weyl_array.tolist())
 
     @cached_property
     def weyl_entry_bound(self) -> int:
@@ -190,16 +191,43 @@ def _mat_vec(m: Matrix, v) -> tuple[int, ...]:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n))
-        for i in range(n)
-    )
+# Elements of one level whose products with the generators are formed at
+# once; bounds the candidate array when a level is large (E7, E8).
+_WEYL_BLOCK = 4096
 
 
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _close_weyl(gens: np.ndarray) -> np.ndarray:
+    """The group generated by `gens`, breadth-first by length.
+
+    Each level is the new products w·s, w over the previous level and s
+    over the generators, w-major, in the order they are first reached.
+    Raises NotFiniteType once a new element would exceed WEYL_CAP.
+    """
+    n = gens.shape[-1]
+    width = n * n * gens.itemsize
+    frontier = np.eye(n, dtype=np.int64)[None]
+    seen = {frontier.tobytes()}
+    levels = [frontier]
+    while len(frontier):
+        fresh = []
+        for start in range(0, len(frontier), _WEYL_BLOCK):
+            block = frontier[start:start + _WEYL_BLOCK, None] @ gens[None]
+            block = block.reshape(-1, n, n)
+            raw = block.tobytes()
+            keep = []
+            for i in range(len(block)):
+                key = raw[i * width:(i + 1) * width]
+                if key not in seen:
+                    if len(seen) >= WEYL_CAP:
+                        raise NotFiniteType("Weyl closure exceeded cap")
+                    seen.add(key)
+                    keep.append(i)
+            fresh.append(block[keep])
+        frontier = np.concatenate(fresh)
+        levels.append(frontier)
+    weyl = np.concatenate(levels)
+    weyl.setflags(write=False)
+    return weyl
 
 
 @lru_cache(maxsize=None)
@@ -235,30 +263,15 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
     ordered = sorted(roots.items(), key=lambda item: (sum(item[0]), item[0]))
     positive = tuple(PositiveRoot(c, cv) for c, cv in ordered)
 
-    gens = []
+    # s_j fixes every fundamental weight but the j-th and sends it to
+    # itself minus alpha_j, whose coordinates are column j of the matrix.
+    cartan = np.array(a, dtype=np.int64)
+    gens = np.repeat(np.eye(n, dtype=np.int64)[None], n, axis=0)
     for j in range(n):
-        gens.append(tuple(
-            tuple((1 if i == k else 0) - (a[i][j] if k == j else 0) for k in range(n))
-            for i in range(n)
-        ))
-    seen = {_identity(n)}
-    order = [_identity(n)]
-    frontier = [_identity(n)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = _mat_mul(w, s)
-                if ws not in seen:
-                    if len(seen) >= WEYL_CAP:
-                        raise NotFiniteType("Weyl closure exceeded cap")
-                    seen.add(ws)
-                    order.append(ws)
-                    nxt.append(ws)
-        frontier = nxt
+        gens[j, :, j] -= cartan[:, j]
 
     h = 1 + max(r.height for r in positive)
-    return RootSystem(spec, positive, tuple(order), h)
+    return RootSystem(spec, positive, _close_weyl(gens), h)
 
 
 # -- weight operations --------------------------------------------------

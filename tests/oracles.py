@@ -5,6 +5,7 @@ algebra so that agreement between the two paths means something: plain
 python ints, list-of-list matrices, and direct definitions.
 """
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 
@@ -167,13 +168,51 @@ def echelon_contains(echelon, v):
     return True
 
 
+@lru_cache(maxsize=None)
+def brute_weyl_group(spec):
+    """The Weyl group of a Cartan spec as tuple matrices, breadth-first.
+
+    Starts from the identity and multiplies each element of the newest
+    level on the right by every simple reflection s_j, which sends the
+    j-th fundamental weight to itself minus the j-th simple root (column
+    j of the Cartan matrix) and fixes the others; new products are kept
+    in the order they are reached.
+    """
+    a = spec.matrix
+    n = len(a)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens = [
+        tuple(
+            tuple(int(i == k) - (a[i][j] if k == j else 0) for k in range(n))
+            for i in range(n)
+        )
+        for j in range(n)
+    ]
+    order, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for s in gens:
+                ws = tuple(
+                    tuple(sum(w[i][t] * s[t][j] for t in range(n)) for j in range(n))
+                    for i in range(n)
+                )
+                if ws not in seen:
+                    seen.add(ws)
+                    order.append(ws)
+                    nxt.append(ws)
+        frontier = nxt
+    return tuple(order)
+
+
 def walk_block_contains(rs, gamma, lam, p, r):
     """Block membership by walking the Weyl group one element at a time.
 
     gamma is in the block of lam at level r when gamma - w.lam lies in
     p^depth(lam) * (root lattice) + p^r * (weight lattice) for some Weyl
     element w.  Depth comes from brute_depth, the lattice test from an
-    echelon form; of the package only the root system's data is used.
+    echelon form and W from brute_weyl_group; of the package only the
+    Cartan matrix and the positive roots are used.
     """
     n = rs.rank
     a = rs.cartan.matrix
@@ -188,7 +227,7 @@ def walk_block_contains(rs, gamma, lam, p, r):
         columns += [[p**dep * a[i][j] for i in range(n)] for j in range(n)]
     columns += [[p**r if t == i else 0 for t in range(n)] for i in range(n)]
     echelon = lattice_echelon(columns)
-    for w in rs.weyl:
+    for w in brute_weyl_group(rs.cartan):
         moved = [sum(w[i][j] * shifted[j] for j in range(n)) - rs.rho[i] for i in range(n)]
         if echelon_contains(echelon, [g - m for g, m in zip(gamma, moved)]):
             return True

@@ -18,6 +18,27 @@ from vermalab.rootsys import (
 
 TYPES = ["A1", "A2", "B2", "G2", "A1xA1"]
 
+# explicit Cartan matrices beyond the named types
+EXPLICIT = {
+    "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    "B3": ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+    "C3": ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    "D4": ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+    "F4": ((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
+    "A5": tuple(
+        tuple(2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(5))
+        for i in range(5)
+    ),
+    "E6": (
+        (2, 0, -1, 0, 0, 0),
+        (0, 2, 0, -1, 0, 0),
+        (-1, 0, 2, -1, 0, 0),
+        (0, -1, -1, 2, -1, 0),
+        (0, 0, 0, -1, 2, -1),
+        (0, 0, 0, 0, -1, 2),
+    ),
+}
+
 # classified data, frozen: (#positive roots, |W|, Coxeter number)
 CLASSIFIED = {
     "A1": (1, 2, 2),
@@ -25,23 +46,96 @@ CLASSIFIED = {
     "B2": (4, 8, 4),
     "G2": (6, 12, 6),
     "A1xA1": (2, 4, 2),
+    "A3": (6, 24, 4),
+    "B3": (9, 48, 6),
+    "C3": (9, 48, 6),
+    "D4": (12, 192, 6),
+    "F4": (24, 1152, 12),
+    "A5": (15, 720, 6),
+    "E6": (36, 51840, 12),
 }
+
+IRREDUCIBLE = [name for name in CLASSIFIED if name != "A1xA1"]
+
+
+def spec_of(name):
+    if name in EXPLICIT:
+        return CartanSpec(EXPLICIT[name])
+    return CartanSpec.from_type(name)
 
 
 def rs_of(name):
-    return build_root_system(CartanSpec.from_type(name))
+    return build_root_system(spec_of(name))
 
 
-@pytest.mark.parametrize("name", TYPES)
+@pytest.mark.parametrize("name", list(CLASSIFIED))
 def test_classified_counts(name):
     rs = rs_of(name)
     n_pos, w_order, cox = CLASSIFIED[name]
     assert len(rs.positive_roots) == n_pos
-    assert len(rs.weyl) == w_order
+    assert rs.weyl_array.shape == (w_order, rs.rank, rs.rank)
     assert rs.coxeter_number == cox
 
 
-@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2"])
+# the tuple closure of E6 (|W| = 51840) takes about ten seconds
+@pytest.mark.parametrize("name", [name for name in CLASSIFIED if name != "E6"])
+def test_weyl_group_matches_tuple_closure(name):
+    spec = spec_of(name)
+    rs = build_root_system(spec)
+    want = oracles.brute_weyl_group(spec)
+    assert rs.weyl == want
+    assert np.array_equal(rs.weyl_array, np.array(want, dtype=np.int64))
+
+
+def test_weyl_closure_blocks_keep_the_order(monkeypatch):
+    # F4's largest length level has fewer elements than one block, so
+    # shrink the block to run every level in pieces
+    want = rs_of("F4").weyl_array
+    monkeypatch.setattr(vermalab.rootsys, "_WEYL_BLOCK", 5)
+    build_root_system.cache_clear()
+    try:
+        assert np.array_equal(rs_of("F4").weyl_array, want)
+    finally:
+        build_root_system.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "cap_name, cap, closes",
+    [
+        ("WEYL_CAP", 1152, True),
+        ("WEYL_CAP", 1151, False),
+        ("POSITIVE_ROOT_CAP", 24, True),
+        ("POSITIVE_ROOT_CAP", 23, False),
+    ],
+)
+def test_closure_caps_on_both_sides_of_f4(cap_name, cap, closes, monkeypatch):
+    # F4 has 24 positive roots and |W| = 1152
+    monkeypatch.setattr(vermalab.rootsys, cap_name, cap)
+    build_root_system.cache_clear()
+    try:
+        if closes:
+            rs = rs_of("F4")
+            assert (len(rs.positive_roots), len(rs.weyl_array)) == (24, 1152)
+        else:
+            what = "Weyl" if cap_name == "WEYL_CAP" else "positive root"
+            with pytest.raises(NotFiniteType, match=f"{what} closure exceeded cap"):
+                rs_of("F4")
+    finally:
+        build_root_system.cache_clear()
+
+
+def test_root_system_equality_ignores_the_weyl_array():
+    build_root_system.cache_clear()
+    first = rs_of("B2")
+    build_root_system.cache_clear()
+    second = rs_of("B2")
+    assert first is not second and first.weyl_array is not second.weyl_array
+    assert first == second and hash(first) == hash(second)
+    assert first != rs_of("G2")
+    assert len({first, second}) == 1
+
+
+@pytest.mark.parametrize("name", IRREDUCIBLE)
 def test_coxeter_matches_root_count_formula(name):
     # for an irreducible system, h = 2 * #positive roots / rank
     rs = rs_of(name)

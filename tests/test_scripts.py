@@ -68,3 +68,42 @@ def test_run_verification_passes_under_optimized_python():
     )
     assert out.returncode == 0, out.stdout + out.stderr
     assert "all suites passed" in out.stdout
+
+
+def test_bench_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
+    import json
+
+    import pytest
+
+    bench = load_script("bench")
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        label = "change" if tree == bench.ROOT else "baseline"
+        calls.append((workload, seed, label))
+        run_s = seed / 10 if label == "change" else seed
+        metrics = {m: {"value": 1.0, "unit": "s"} for m in ("setup_s", "peak_rss_mb")}
+        metrics["run_s"] = {"value": run_s, "unit": "s"}
+        return {"correct": True, "metrics": metrics}
+
+    monkeypatch.setattr(bench, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", [
+        "bench.py", "--out", str(out), "--seeds", "1,2,3", "--baseline", str(tmp_path),
+    ])
+    assert bench.main() == 0
+    assert [label for w, _, label in calls if w == "queries"] == [
+        "change", "baseline", "baseline", "change", "change", "baseline",
+    ]
+    record = json.loads(out.read_text())
+    assert record["seeds"] == [1, 2, 3] and record["env"]["nproc"] >= 1
+    queries = record["workloads"]["queries"]
+    summary = queries["change"]["summary"]["run_s"]
+    assert summary == pytest.approx({"median": 0.2, "q1": 0.15, "q3": 0.25, "n": 3})
+    assert queries["baseline"]["summary"]["run_s"]["median"] == 2
+    assert queries["change_wins"]["run_s"] == 3
+    assert queries["change_wins"]["setup_s"] == 0  # ties win nothing
+
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--out", str(out), "--seeds", "1,2"])
+    with pytest.raises(SystemExit):
+        bench.main()
