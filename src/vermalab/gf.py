@@ -5,6 +5,16 @@ For the prime field the encoding is the residue itself.  For the
 quadratic extension F_{p^2} = F_p[t]/(t^2 - c), with c the smallest
 quadratic non-residue mod p, the element a + b*t is stored as the
 integer a + p*b in [0, p^2).
+
+Matrix products are exact for any int64 entries.  Every partial sum of
+A @ B is bounded by inner * max|A| * max|B|, where inner is the shared
+dimension.  When that bound is below 2^53, every intermediate is an
+integer that float64 holds exactly, so a large product runs through
+float64 BLAS and is converted back (the delayed reduction of FFLAS:
+Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A small product stays
+on numpy's int64 loop.  When the bound would overflow the chosen kernel,
+the operands are reduced mod p first, and if even inner * (p-1)^2
+reaches 2^63 the product is taken over Python ints.
 """
 from __future__ import annotations
 
@@ -12,6 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_FLOAT_EXACT = 2**53  # float64 holds every integer of smaller absolute value
+_INT64_SAFE = 2**63
+# multiply-adds from which float64 BLAS beats the int64 loop, counting
+# the conversions and the reduction (see _dot)
+_BLAS_MIN_MACS = 8192
 
 
 def is_prime(n: int) -> bool:
@@ -125,28 +141,64 @@ class GF:
     def identity(self, n: int):
         return np.eye(n, dtype=np.int64)
 
+    def _dot(self, A, B):
+        """A @ B reduced mod p, exact for any int64 entries."""
+        p = self.p
+        inner = A.shape[-1]
+        if not A.size or not B.size:
+            return np.matmul(A, B) % p
+        # the product's multiply-adds when A and B share no stacking axes,
+        # and an overestimate when they do
+        big = A.size * B.size // inner >= _BLAS_MIN_MACS
+        # the largest entry of each operand in one reduction: read as
+        # uint64, a nonnegative entry keeps its value and a negative one
+        # (the int64 minimum too) reads as at least 2^63, which sends the
+        # operands through the reduction below
+        bound = (
+            inner
+            * int(np.maximum.reduce(A.view(np.uint64), axis=None))
+            * int(np.maximum.reduce(B.view(np.uint64), axis=None))
+        )
+        if bound >= (_FLOAT_EXACT if big else _INT64_SAFE):
+            A, B = A % p, B % p
+            bound = inner * (p - 1) ** 2
+        if big and bound < _FLOAT_EXACT:
+            C = np.matmul(A.astype(np.float64), B.astype(np.float64)).astype(np.int64)
+        elif bound < _INT64_SAFE:
+            C = np.matmul(A, B)
+        else:
+            C = np.matmul(A.astype(object), B.astype(object)) % p
+            return C.astype(np.int64)
+        C %= p
+        return C
+
     def matmul(self, A, B):
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if self.k == 1:
-            return (A @ B) % self.p
+            return self._dot(A, B)
         a0, a1 = self._split(A)
         b0, b1 = self._split(B)
         c = self.nonresidue
-        c0 = (a0 @ b0 + c * (a1 @ b1)) % self.p
-        c1 = (a0 @ b1 + a1 @ b0) % self.p
+        c0 = (self._dot(a0, b0) + c * self._dot(a1, b1)) % self.p
+        c1 = (self._dot(a0, b1) + self._dot(a1, b0)) % self.p
         return c0 + self.p * c1
 
     def matpow(self, A, e: int):
-        n = A.shape[0]
-        result = self.identity(n)
-        base = np.asarray(A, dtype=np.int64)
-        while e > 0:
+        """A^e as a fresh reduced array; e = 0 gives the identity."""
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        base = self.normalize(A)
+        if e == 0:
+            return self.identity(base.shape[0])
+        result = None
+        while True:
             if e & 1:
-                result = self.matmul(result, base)
-            base = self.matmul(base, base)
+                result = base if result is None else self.matmul(result, base)
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = self.matmul(base, base)
 
     def kron(self, A, B):
         if self.k != 1:

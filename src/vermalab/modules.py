@@ -87,6 +87,21 @@ class FpModule:
     def _spin_plan(self) -> _SpinPlan:
         return _spin_up(self)
 
+    @cached_property
+    def _diagonals(self) -> dict[str, np.ndarray]:
+        """The diagonal of every operator that is diagonal in the standard basis."""
+        diagonals = {}
+        for label, mat in self.ops.items():
+            d = np.diagonal(mat)
+            if np.array_equal(mat, np.diag(d)):
+                diagonals[label] = d
+        return diagonals
+
+    @cached_property
+    def _end_dim(self) -> int:
+        """dim End(m); ModuleLibrary checks that it is 1 for every simple."""
+        return len(hom_space(self, self))
+
 
 def _check_same_schema(m: FpModule, n: FpModule):
     if m.field != n.field:
@@ -230,11 +245,15 @@ def hom_space(m: FpModule, n: FpModule) -> list[np.ndarray]:
     """Basis of the space of maps H with H g_M = g_N H for every generator.
 
     The unknowns are the images of the generators of the source's
-    spin-up (cached on the source).  Images are pushed through one layer
+    spin-up (cached on the source).  A generator is a standard basis
+    vector, so for every operator diagonal in both modules (the torus
+    weights of a G_rT-module) its image has unknowns only on the rows of
+    n with the same diagonal entry.  Images are pushed through one layer
     at a time, and each layer's relations narrow the unknowns by one
     nullspace.  The basis returned is the reduced nullspace basis of the
     solution space in the coordinates of the generator images, so it
-    does not depend on the narrowing schedule.  Each returned matrix
+    depends neither on the narrowing schedule nor on the coordinates
+    known to vanish beforehand.  Each returned matrix
     (n.dim x m.dim) is re-verified against every generator before being
     emitted; a failure raises CertificateError.
     """
@@ -246,16 +265,23 @@ def hom_space(m: FpModule, n: FpModule) -> list[np.ndarray]:
     nd = n.dim
     targets = np.stack([n.ops[label] for label in plan.labels])
     images = np.zeros((0, nd, 0), dtype=np.int64)  # per basis vector, nd x unknowns
+    # a map sends an eigenvector of an operator diagonal in both modules
+    # to the eigenspace of the same eigenvalue
+    shared = [label for label in plan.labels if label in m._diagonals and label in n._diagonals]
+    source_diag = np.array([m._diagonals[label] for label in shared]).reshape(len(shared), m.dim)
+    target_diag = np.array([n._diagonals[label] for label in shared]).reshape(len(shared), nd)
 
-    for _, layers in plan.generators:
-        # a fresh generator: its image is a new free block of unknowns;
-        # width 0 before it only said the map vanished on what came before
+    for start, layers in plan.generators:
+        # a fresh generator: its image is a new free block of unknowns, one
+        # per row of n it can reach; width 0 before it only said the map
+        # vanished on what came before
+        rows = np.flatnonzero((target_diag == source_diag[:, start, None]).all(axis=0))
         count, _, width = images.shape
-        widened = np.zeros((count + 1, nd, width + nd), dtype=np.int64)
+        widened = np.zeros((count + 1, nd, width + len(rows)), dtype=np.int64)
         widened[:count, :, :width] = images
-        widened[count, :, width:] = f.identity(nd)
+        widened[count, rows, width + np.arange(len(rows))] = 1
         images = widened
-        width += nd
+        width += len(rows)
         for layer in layers:
             if width == 0:
                 # the map vanishes on this generator: the rest of its
@@ -366,7 +392,7 @@ class ModuleLibrary:
         if stray:
             raise ValueError(f"projectives {stray} are keyed by no simple")
         for key, s in self.simples.items():
-            if len(hom_space(s, s)) != 1:
+            if s._end_dim != 1:
                 raise ValueError(f"simple {key} is not absolutely simple: End is not the field")
 
 

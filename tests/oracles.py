@@ -17,6 +17,23 @@ def mat_mul(A, B, p):
             for i in range(n)]
 
 
+def ext_mat_mul(A, B, p):
+    """A @ B over F_{p^2} = F_p[t]/(t^2 - c), c the least non-residue,
+    with a + b t encoded as the integer a + p b."""
+    c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+    out = []
+    for row in A:
+        out.append([])
+        for j in range(len(B[0])):
+            real = twist = 0
+            for x, col in zip(row, B):
+                x0, x1, y0, y1 = x % p, x // p, col[j] % p, col[j] // p
+                real += x0 * y0 + c * x1 * y1
+                twist += x0 * y1 + x1 * y0
+            out[-1].append(real % p + p * (twist % p))
+    return out
+
+
 def mat_rref(M, p):
     """Row reduce a copy of M over F_p; returns (rref, pivot_cols)."""
     M = [row[:] for row in M]

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from vermalab import gf
 from vermalab.gf import GF, is_prime, smallest_nonresidue
 
 
@@ -167,3 +168,94 @@ def test_column_space_basis():
     C = F.column_space_basis(A)
     assert C.shape == (2, 2)
     assert F.rank(C) == 2
+
+
+# -- the float64 BLAS path of matmul and its bound ------------------------
+
+def oracle_product(F, A, B):
+    mul = oracles.mat_mul if F.k == 1 else oracles.ext_mat_mul
+    return mul(np_to_lists(A), np_to_lists(B), F.p)
+
+
+def test_matmul_reduces_operands_that_would_overflow_int64():
+    # 4 (2^31 + 1)^2 wraps around in int64; the answer is 4 (2^31 + 1)^2 mod 5
+    A = np.full((1, 4), 2**31 + 1, dtype=np.int64)
+    B = np.full((4, 1), 2**31 + 1, dtype=np.int64)
+    assert np_to_lists(GF(5).matmul(A, B)) == oracles.mat_mul(np_to_lists(A), np_to_lists(B), 5)
+
+
+@pytest.mark.parametrize("F", [GF(5), GF(7), GF(3, 2), GF(5, 2)], ids=str)
+def test_matmul_above_the_blas_crossover_matches_oracle(F):
+    rng = np.random.default_rng(F.q)
+    for rows, inner, cols in ((30, 25, 20), (64, 64, 3)):
+        assert rows * inner * cols >= gf._BLAS_MIN_MACS
+        A = F.random_matrix(rng, rows, inner)
+        B = F.random_matrix(rng, inner, cols)
+        assert np_to_lists(F.matmul(A, B)) == oracle_product(F, A, B)
+    # stacked operands, as hom_space multiplies them
+    A = rng.integers(0, F.q, size=(3, 1, 12, 12))
+    B = rng.integers(0, F.q, size=(1, 4, 12, 16))
+    got = F.matmul(A, B)
+    assert got.shape == (3, 4, 12, 16)
+    for i in range(3):
+        for j in range(4):
+            assert np_to_lists(got[i, j]) == oracle_product(F, A[i, 0], B[0, j])
+
+
+BIG_PRIME = 134_217_689  # the largest prime below 2^27, so 16 (p-1)^2 < 2^63
+
+
+@pytest.mark.parametrize("p", [BIG_PRIME, 1009])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("over", [False, True])
+def test_matmul_at_the_float64_bound(p, sign, over):
+    # inner * max|A| * max|B| is 2^53 - 2^28 - 48 under the bound and
+    # 2^53 + 2^28 - 16 over it.  Every entry of the true product is odd,
+    # so above 2^53 float64 cannot hold it and only an exact path passes.
+    # At p = 1009 every entry is unreduced.
+    F = GF(p)
+    inner, a = 16, sign * (2**24 + 1)
+    b = 2**25 - 1 if over else 2**25 - 3
+    assert (inner * abs(a) * b >= 2**53) == over
+    A = np.full((32, inner), a, dtype=np.int64)
+    B = np.full((inner, 32), b, dtype=np.int64)
+    B[-1] -= 1
+    assert 32 * inner * 32 >= gf._BLAS_MIN_MACS
+    assert np_to_lists(F.matmul(A, B)) == oracles.mat_mul(np_to_lists(A), np_to_lists(B), p)
+
+
+@pytest.mark.parametrize("p", [5, BIG_PRIME, 2**31 - 1])
+@pytest.mark.parametrize("size", [3, 40])
+def test_matmul_with_the_int64_minimum(p, size):
+    # np.abs(-2^63) is still negative; at p = 2^31 - 1 even the reduced
+    # operands overflow int64, and the product is taken over Python ints
+    rng = np.random.default_rng(size)
+    A = rng.integers(-(2**62), 2**62, size=(size, size))
+    A[0, 0] = np.iinfo(np.int64).min
+    B = rng.integers(-(2**40), 2**40, size=(size, size))
+    want = oracles.mat_mul(np_to_lists(A), np_to_lists(B), p)
+    assert np_to_lists(GF(p).matmul(A, B)) == want
+    assert np_to_lists(GF(p).matmul(B, A)) == oracles.mat_mul(np_to_lists(B), np_to_lists(A), p)
+
+
+@pytest.mark.parametrize("F", [GF(3), GF(5), GF(7), GF(3, 2)], ids=str)
+def test_matpow_matches_repeated_products(F):
+    A = F.random_matrix(np.random.default_rng(F.q), 5, 5)
+    p = F.p
+    want = np_to_lists(F.identity(5))
+    powers = {}
+    for e in range(2 * p + 2):
+        powers[e] = want
+        want = oracle_product(F, np.array(want, dtype=np.int64), A)
+    for e in (0, 1, 2, 3, p, 2 * p + 1):
+        assert np_to_lists(F.matpow(A, e)) == powers[e]
+    with pytest.raises(ValueError, match="negative exponent"):
+        F.matpow(A, -1)
+
+
+def test_matpow_returns_a_fresh_reduced_array():
+    F = GF(5)
+    for A in (np.array([[6, -1], [10, 3]]), np.array([[1, 4], [0, 3]])):
+        once = F.matpow(A, 1)
+        assert np_to_lists(once) == [[1, 4], [0, 3]]
+        assert not np.shares_memory(once, A)

@@ -147,6 +147,45 @@ def test_hom_survives_forced_zero_on_first_generator():
     assert len(got) == len(want) == 1
 
 
+def assert_hom_matches_oracle(m, n):
+    # same span as the entry-by-entry oracle, flattened row-major
+    p = m.field.p
+    got = [h.reshape(-1) for h in hom_space(m, n)]
+    want = intertwiner_basis(as_lists(m), as_lists(n), p)
+    assert len(got) == len(want)
+    if got:
+        stacked = np.vstack(got + [np.array(want, dtype=np.int64)])
+        assert m.field.rank(stacked) == len(got)
+
+
+def test_hom_restricts_generators_to_matching_eigenspaces():
+    # h is diagonal on a Verma module and on a sum of them; conjugating
+    # a module by a random change of basis makes its h non-diagonal
+    schema = Sl2Schema(5, 1)
+    verma = build_verma_r1(schema, 3)
+    summed = direct_sum([verma, restricted_simples(5)["L3"]])
+    twisted = conjugate(verma, 4)
+    assert "h" in verma._diagonals and "h" in summed._diagonals
+    assert "h" not in twisted._diagonals
+    cases = [
+        (verma, summed),  # diagonal in both
+        (summed, verma),
+        (verma, twisted),  # in the source only
+        (twisted, summed),  # in the target only
+        (twisted, conjugate(summed, 6)),  # in neither
+    ]
+    for m, n in cases:
+        assert_hom_matches_oracle(m, n)
+
+
+def test_hom_between_disjoint_weights_is_zero():
+    # L(2) has weights 2, 0, 3 and L(1) has weights 1, 4 at p = 5
+    simples = restricted_simples(5)
+    assert hom_space(simples["L2"], simples["L1"]) == []
+    assert hom_space(simples["L1"], simples["L2"]) == []
+    assert_hom_matches_oracle(simples["L2"], simples["L1"])
+
+
 def jordan_f9(*sizes):
     """Jordan blocks over k[t]/(t^3) with the field extended to F_9."""
     return FpModule(GF(3, 2), sum(sizes), {"t": jordan(3, *sizes).ops["t"]})

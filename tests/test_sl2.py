@@ -311,12 +311,9 @@ def test_heart_computes_each_hom_from_a_simple_once(monkeypatch):
         assert len(calls) == want
 
 
-def test_cover_builders_validate_the_simples_once(monkeypatch):
-    # the level-1 covers are the restrictions of their level-2 lifts, so
-    # building both tables decomposes each tensor once and checks End(S)
-    # once per simple
-    p = 3
-    simples = list(restricted_simples(p).values())
+def count_cold_hom_calls(monkeypatch, p, build):
+    """The hom_space calls of build(), with the level-1 tables built afresh;
+    returns them with the fresh simples, whose End is not yet known."""
     calls = []
 
     def counting(m, n):
@@ -324,16 +321,39 @@ def test_cover_builders_validate_the_simples_once(monkeypatch):
         return hom_space(m, n)
 
     monkeypatch.setattr(vermalab.modules, "hom_space", counting)
-    for name in ("restricted_projectives", "lifted_projectives"):
+    for name in ("restricted_simples", "restricted_projectives", "lifted_projectives"):
         fresh = lru_cache(getattr(vermalab.sl2, name).__wrapped__)
         monkeypatch.setattr(vermalab.sl2, name, fresh)
-    vermalab.sl2.restricted_projectives(p)
-    vermalab.sl2.lifted_projectives(p)
+    build()
+    simples = list(vermalab.sl2.restricted_simples(p).values())
     monkeypatch.undo()
+    return calls, simples
+
+
+def test_cover_builders_validate_the_simples_once(monkeypatch):
+    # the level-1 covers are the restrictions of their level-2 lifts, so
+    # building both tables decomposes each tensor once and checks End(S)
+    # once per simple
+    p = 3
+
+    def build():
+        vermalab.sl2.restricted_projectives(p)
+        vermalab.sl2.lifted_projectives(p)
+
+    calls, simples = count_cold_hom_calls(monkeypatch, p, build)
     validations = [m for m, n in calls if m is n and any(m is s for s in simples)]
     assert len(validations) == p
     # 27 when each level decomposed its own tensor, 15 when decompose
     # solved End(m) again for each summand it could not split
+    assert len(calls) == 13
+
+
+def test_level1_library_reuses_the_validated_simples(monkeypatch):
+    # End(S) is checked once per simple, while the covers are lifted;
+    # library(p, 1) then finds it on the simple instead of solving it again
+    calls, simples = count_cold_hom_calls(monkeypatch, 3, lambda: library.__wrapped__(3, 1))
+    validations = [m for m, n in calls if m is n and any(m is s for s in simples)]
+    assert len(validations) == 3  # 6 when library(3, 1) solved End(S) again
     assert len(calls) == 13
 
 
