@@ -22,7 +22,7 @@ def main() -> int:
 
     rows = []
     ok = True
-    for p, r in [(3, 1), (3, 2), (5, 1), (5, 2)]:
+    for p, r in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 2)]:
         for suite in level_suites(p, r, seed=args.seed):
             start = time.perf_counter()
             rep = suite()

@@ -33,7 +33,6 @@ from .rootsys import (
 )
 from .sl2 import (
     Sl2Schema,
-    UnsupportedPrime,
     build_simple,
     build_verma_r1,
     build_verma_r2,
@@ -85,7 +84,6 @@ __all__ = [
     "is_pr_regular",
     "psi_set",
     "Sl2Schema",
-    "UnsupportedPrime",
     "build_simple",
     "build_verma_r1",
     "build_verma_r2",

@@ -9,11 +9,18 @@ The hom-space computation spins up a generating set of the source
 module and solves only for the images of the generators, which keeps
 the linear systems small for the cyclic modules that dominate here
 (Lux and Szőke, Experiment. Math. 12, 2003).  The spin-up depends on
-the source alone, so it is grown once per module, one breadth-first
-layer at a time, and cached; operator matrices are read-only so the
-cache cannot go stale.  Each target then costs one batched product and
-one nullspace per layer.  Projectivity is decided by a dimension count
-against the library's covers, without building a syzygy.
+the source alone, so it is grown once, one breadth-first layer at a
+time.  Each target then costs one batched product and one nullspace per
+layer.  Projectivity is decided by a dimension count against the
+library's covers, without building a syzygy.
+
+Spin-ups, hom spaces, covers and syzygies depend only on the content of
+their modules (and on the library), so each is computed once per
+process: one memo, keyed by a content digest of every module involved,
+serves every caller, including modules equal in content but built
+separately.  Modules are frozen and their operators read-only, so a
+digest never goes stale.  ``hom_space`` itself stays the uncached
+solver; the functions here reach it through the memo.
 
 Randomized procedures take explicit seeds and either return a
 certificate that is re-verified on the spot or raise Undecided.  A
@@ -25,7 +32,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 
@@ -58,13 +65,16 @@ _INDECOMPOSABLE_TRIES = 60
 _EXHAUST_BOUND = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class FpModule:
-    """dim-dimensional module; ops maps each generator label to a matrix."""
+    """dim-dimensional module; ops maps each generator label to a matrix.
+
+    Frozen, with read-only operators, so its content digest never goes stale.
+    """
 
     field: GF
     dim: int
-    ops: dict[str, np.ndarray]
+    ops: Mapping[str, np.ndarray]
 
     def __post_init__(self):
         fixed = {}
@@ -74,18 +84,30 @@ class FpModule:
                 raise ValueError(
                     f"operator {label} has shape {mat.shape}, expected square of size {self.dim}"
                 )
-            # read-only, so that the spin-up cached below never goes stale
             mat.setflags(write=False)
             fixed[label] = mat
-        self.ops = fixed
+        object.__setattr__(self, "ops", MappingProxyType(fixed))
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(self.ops)
 
     @cached_property
+    def _digest(self) -> bytes:
+        """Content digest over the field, dim and every (label, matrix) pair."""
+        # imported on first use: importing hashlib loads OpenSSL, about 4 ms,
+        # which a process that never computes with modules need not pay
+        import hashlib
+
+        h = hashlib.blake2b(repr((self.field, self.dim)).encode())
+        for label, mat in self.ops.items():
+            h.update(repr(label).encode())
+            h.update(mat.tobytes())
+        return h.digest()
+
+    @property
     def _spin_plan(self) -> _SpinPlan:
-        return _spin_up(self)
+        return _memo(("spin", self._digest), lambda: _spin_up(self))
 
     @cached_property
     def _diagonals(self) -> dict[str, np.ndarray]:
@@ -97,10 +119,17 @@ class FpModule:
                 diagonals[label] = d
         return diagonals
 
-    @cached_property
-    def _end_dim(self) -> int:
-        """dim End(m); ModuleLibrary checks that it is 1 for every simple."""
-        return len(hom_space(self, self))
+
+# one process-wide memo of derived module data, keyed by content digests;
+# like library(p, r), it lives as long as the process
+_MEMO: dict[tuple, object] = {}
+
+
+def _memo(key: tuple, compute):
+    memo = _MEMO
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
 
 
 def _check_same_schema(m: FpModule, n: FpModule):
@@ -312,6 +341,18 @@ def hom_space(m: FpModule, n: FpModule) -> list[np.ndarray]:
     return list(homs)
 
 
+def _hom(m: FpModule, n: FpModule) -> list[np.ndarray]:
+    """hom_space(m, n) through the memo: read-only matrices in a fresh list."""
+
+    def solve():
+        homs = hom_space(m, n)
+        for h in homs:
+            h.setflags(write=False)
+        return tuple(homs)
+
+    return list(_memo(("hom", m._digest, n._digest), solve))
+
+
 # -- submodules, quotients, radical, socle ------------------------------
 
 def submodule_from_columns(m: FpModule, cols) -> tuple[FpModule, np.ndarray]:
@@ -392,13 +433,13 @@ class ModuleLibrary:
         if stray:
             raise ValueError(f"projectives {stray} are keyed by no simple")
         for key, s in self.simples.items():
-            if s._end_dim != 1:
+            if len(_hom(s, s)) != 1:
                 raise ValueError(f"simple {key} is not absolutely simple: End is not the field")
 
 
 def _homs_to_simples(m: FpModule, lib: ModuleLibrary) -> dict[str, list[np.ndarray]]:
     """Basis of Hom(m, S) for every simple S: the one pass that tops and radicals share."""
-    return {key: hom_space(m, s) for key, s in lib.simples.items()}
+    return {key: _hom(m, s) for key, s in lib.simples.items()}
 
 
 def _multiplicities(homs: dict[str, list[np.ndarray]]) -> dict[str, int]:
@@ -429,7 +470,7 @@ def top_multiplicities(m: FpModule, lib: ModuleLibrary) -> dict[str, int]:
 
 def _homs_from_simples(m: FpModule, lib: ModuleLibrary) -> dict[str, list[np.ndarray]]:
     """Basis of Hom(S, m) for every simple S: the one pass that socles share."""
-    return {key: hom_space(s, m) for key, s in lib.simples.items()}
+    return {key: _hom(s, m) for key, s in lib.simples.items()}
 
 
 def _joint_image(m: FpModule, homs: dict[str, list[np.ndarray]]) -> np.ndarray:
@@ -465,16 +506,22 @@ def _covered_tops(m: FpModule, lib: ModuleLibrary):
 @dataclass
 class ProjectiveCover:
     module: FpModule
-    map: np.ndarray  # m.dim x cover.dim, surjective
+    map: np.ndarray  # m.dim x cover.dim, surjective, read-only
     summand_labels: list[str]
 
 
 def projective_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
-    """Minimal projective cover, assembled summand by summand.
+    """Minimal projective cover, built once per module content and library.
 
-    The chosen maps induce an isomorphism on tops, which is what makes
-    the cover minimal; surjectivity is checked on the result.
+    The cover is assembled summand by summand.  The chosen maps induce
+    an isomorphism on tops, which is what makes the cover minimal;
+    surjectivity is checked on the result.
     """
+    cover = _memo(("cover", m._digest, lib), lambda: _build_cover(m, lib))
+    return replace(cover, summand_labels=list(cover.summand_labels))
+
+
+def _build_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
     f = m.field
     if m.dim == 0:
         return ProjectiveCover(zero_module_like(m), f.zeros(0, 0), [])
@@ -488,7 +535,7 @@ def projective_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
         want = tops[label]
         sdim = lib.simples[label].dim
         got = 0
-        for phi in hom_space(lib.projectives[label], m):
+        for phi in _hom(lib.projectives[label], m):
             if got == want:
                 break
             trial = f.column_space_basis(np.hstack([covered, f.matmul(q, phi)]))
@@ -505,24 +552,31 @@ def projective_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
     for label in m.labels:
         if not np.array_equal(f.matmul(theta, cover.ops[label]), f.matmul(m.ops[label], theta)):
             raise CertificateError(f"cover map fails to intertwine {label}")
+    theta.setflags(write=False)
     return ProjectiveCover(cover, theta, [label for label, _ in chosen])
 
 
 @dataclass
 class SyzygyData:
     module: FpModule
-    inclusion: np.ndarray  # cover.dim x module.dim
+    inclusion: np.ndarray  # cover.dim x module.dim, read-only
     cover: ProjectiveCover
 
 
 def syzygy(m: FpModule, lib: ModuleLibrary) -> SyzygyData:
-    """Kernel of a minimal projective cover."""
+    """Kernel of a minimal projective cover, built once per module content and library."""
+    syz = _memo(("syzygy", m._digest, lib), lambda: _build_syzygy(m, lib))
+    return replace(syz, cover=replace(syz.cover, summand_labels=list(syz.cover.summand_labels)))
+
+
+def _build_syzygy(m: FpModule, lib: ModuleLibrary) -> SyzygyData:
     cover = projective_cover(m, lib)
     f = m.field
     kernel = f.nullspace(cover.map) if cover.module.dim else f.zeros(0, 0)
     omega, incl = submodule_from_columns(cover.module, kernel)
     if omega.dim != cover.module.dim - m.dim:
         raise CertificateError("syzygy dimension is not dim(cover) - dim(module)")
+    incl.setflags(write=False)
     return SyzygyData(omega, incl, cover)
 
 
@@ -535,7 +589,7 @@ def ext1_dim(m: FpModule, n: FpModule, lib: ModuleLibrary) -> int:
     subtraction is a no-op in that case.
     """
     syz = syzygy(m, lib)
-    homs = hom_space(syz.module, n)
+    homs = _hom(syz.module, n)
     if not homs:
         return 0
     coboundaries = ext1_coboundaries(syz, n)
@@ -551,7 +605,7 @@ def ext1_dim(m: FpModule, n: FpModule, lib: ModuleLibrary) -> int:
 def ext1_coboundaries(syz: SyzygyData, n: FpModule) -> list:
     """Restrictions to the syzygy of maps cover -> n (the trivial classes)."""
     f = n.field
-    return [f.matmul(h, syz.inclusion) for h in hom_space(syz.cover.module, n)]
+    return [f.matmul(h, syz.inclusion) for h in _hom(syz.cover.module, n)]
 
 
 def is_projective_module(m: FpModule, lib: ModuleLibrary) -> bool:
@@ -650,7 +704,7 @@ def is_isomorphic(m: FpModule, n: FpModule, seed: int = 0) -> IsoResult:
         return IsoResult(False)
     if m.dim == 0:
         return IsoResult(True, f.zeros(0, 0))
-    homs = hom_space(m, n)
+    homs = _hom(m, n)
     if not homs:
         return IsoResult(False)
 
@@ -715,29 +769,45 @@ def fitting_split(m: FpModule, endo):
 def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
     """Indecomposable summands, found by repeated Fitting splitting.
 
+    The basis of End(m) is tried first.  If none of it splits m and
+    End(m) modulo its radical is one-dimensional (over a prime field),
+    End(m) is local and m is returned as certified indecomposable;
+    otherwise random combinations of the basis are drawn one at a time.
     Every returned factor is certified indecomposable; if neither a
     splitting nor a certificate can be found, raises Undecided.
     """
     if m.dim == 0:
         return []
     f = m.field
-    homs = hom_space(m, m)
+    homs = _hom(m, m)
     if len(homs) == 1:
         return [m]
+
+    def split(h):
+        # the summands of a proper Fitting split along h, or None
+        if not 0 < f.rank(f.matpow(h, m.dim)) < m.dim:
+            return None
+        (a, _), (b, _) = fitting_split(m, h)
+        return decompose(a, seed=seed + 1) + decompose(b, seed=seed + 2)
+
+    for h in homs:
+        parts = split(h)
+        if parts:
+            return parts
+    # in a local End(m) every element is nilpotent or invertible, so no
+    # random combination could split m
+    quot = _end_quotient(m, homs) if f.k == 1 else None
+    if quot is not None and quot.dim == 1:
+        return [m]
     rng = random.Random(seed)
-    candidates = list(homs)
     for _ in range(_DECOMPOSE_TRIES):
         combo = f.zeros(m.dim, m.dim)
         for h in homs:
             combo = f.add(combo, f.mul(h, rng.randrange(f.q)))
-        candidates.append(combo)
-    for h in candidates:
-        y = f.matpow(h, m.dim)
-        r = f.rank(y)
-        if 0 < r < m.dim:
-            (a, _), (b, _) = fitting_split(m, h)
-            return decompose(a, seed=seed + 1) + decompose(b, seed=seed + 2)
-    if _end_is_local(m, homs, seed):
+        parts = split(combo)
+        if parts:
+            return parts
+    if _end_is_local(quot if quot is not None else _end_quotient(m, homs), seed):
         return [m]
     raise Undecided("module is decomposable but no splitting endomorphism was found")
 
@@ -969,16 +1039,18 @@ def is_indecomposable(m: FpModule, seed: int = 0) -> bool:
     """
     if m.dim == 0:
         raise ValueError("the zero module has no meaningful answer here")
-    return _end_is_local(m, hom_space(m, m), seed)
+    homs = _hom(m, m)
+    return len(homs) == 1 or _end_is_local(_end_quotient(m, homs), seed)
 
 
-def _end_is_local(m: FpModule, homs: list[np.ndarray], seed: int) -> bool:
-    """is_indecomposable for a nonzero m, given a basis of End(m)."""
-    f = m.field
-    if len(homs) == 1:
-        return True
-    rad = algebra_radical(homs, f)
-    quot = _QuotientAlgebra(m, homs, rad)
+def _end_quotient(m: FpModule, homs: list[np.ndarray]) -> _QuotientAlgebra:
+    """End(m) modulo its radical, given a basis of End(m)."""
+    return _QuotientAlgebra(m, homs, algebra_radical(homs, m.field))
+
+
+def _end_is_local(quot: _QuotientAlgebra, seed: int) -> bool:
+    """Whether End(m) is local, given End(m) modulo its radical."""
+    f = quot.f
     if quot.dim == 1:
         return True
     if not quot.is_commutative():

@@ -27,6 +27,7 @@ from .modules import (
     FpModule,
     ModuleLibrary,
     SchemaMismatch,
+    _hom,
     _homs_from_simples,
     _joint_image,
     _multiplicities,
@@ -35,7 +36,6 @@ from .modules import (
     direct_sum,
     eigenvalue_multiplicities,
     ext1_coboundaries,
-    hom_space,
     is_indecomposable,
     is_isomorphic,
     is_projective_module,
@@ -51,10 +51,6 @@ from .verma import block_contains, depth
 
 R1_LABELS = ("e", "f", "h")
 R2_LABELS = ("e", "f", "h", "e_p", "f_p")
-
-
-class UnsupportedPrime(ValueError):
-    """Raised when a computation is only wired up for p in {3, 5}."""
 
 
 class DimensionNotDivisible(ValueError):
@@ -161,7 +157,11 @@ def binom_mod(n: int, k: int, p: int) -> int:
 
 
 # -- builders ------------------------------------------------------------
+#
+# Built modules are immutable, so each builder is cached by (schema,
+# weight) and every module it returns has passed Sl2Schema.check once.
 
+@lru_cache(maxsize=None)
 def _weight_chain(schema: Sl2Schema, lam: int, dim: int) -> FpModule:
     p = schema.p
     if schema.r != 1:
@@ -201,6 +201,7 @@ def build_verma_r1(schema: Sl2Schema, lam: int) -> FpModule:
     return _weight_chain(schema, lam, schema.p)
 
 
+@lru_cache(maxsize=None)
 def build_verma_r2(schema: Sl2Schema, lam: int) -> FpModule:
     """Baby Verma module of highest weight lam at r = 2, dimension p^2.
 
@@ -217,8 +218,6 @@ def build_verma_r2(schema: Sl2Schema, lam: int) -> FpModule:
     if schema.r != 2:
         raise ValueError("r = 2 builder called with a level-1 schema")
     p = schema.p
-    if p not in (3, 5):
-        raise UnsupportedPrime(f"level-2 computations are wired for p in {{3, 5}}, not {p}")
     n = p * p
     if not 0 <= lam < n:
         raise ValueError(f"weight {lam} outside 0..{n - 1}")
@@ -667,7 +666,7 @@ def verify_ar_middle_term(p: int, seed: int = 0) -> CheckReport:
         o1 = syzygy(z, lib)
         o2 = syzygy(o1.module, lib)
         target = o2.module
-        homs = hom_space(o1.module, target)
+        homs = _hom(o1.module, target)
         cob = ext1_coboundaries(o1, target)
         cocycle, cob_rank = _cocycle_outside_coboundaries(z.field, homs, cob)
         ext_dim = len(homs) - cob_rank

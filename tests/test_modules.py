@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -48,6 +49,7 @@ from vermalab.sl2 import (
     Sl2Schema,
     build_verma_r1,
     build_verma_r2,
+    build_simple,
     hyper_projectives,
     library,
     restricted_projectives,
@@ -242,6 +244,53 @@ def test_hom_bases_match_recorded_digest():
     pairs = hom_digest_corpus()
     assert any(m.field.k == 2 and hom_space(m, n) for m, n in pairs)
     assert hom_basis_digest(pairs) == RECORDED_HOM_DIGEST
+
+
+# -- the process-wide memo ------------------------------------------------
+
+def test_memo_keys_by_content(monkeypatch):
+    # level-2 Vermas whose weights agree mod p restrict to level 1 as
+    # modules equal in content but built separately; they share one entry
+    monkeypatch.setattr(vermalab.modules, "_MEMO", {})
+    s2 = Sl2Schema(5, 2)
+    a, b, c = (restrict_labels(build_verma_r2(s2, lam), ["e", "f", "h"]) for lam in (4, 9, 3))
+    assert a is not b and a._digest == b._digest != c._digest
+    assert restrict_labels(a, ["f", "e", "h"])._digest != a._digest
+    steinbergs = direct_sum([build_verma_r1(Sl2Schema(5, 1), 4)] * 5)
+    calls = []
+
+    def counting(m, n):
+        calls.append((m, n))
+        return hom_space(m, n)
+
+    monkeypatch.setattr(vermalab.modules, "hom_space", counting)
+    assert is_isomorphic(a, steinbergs) and is_isomorphic(b, steinbergs)
+    assert len(calls) == 1
+
+
+def test_memo_hands_out_read_only_arrays_in_fresh_lists(monkeypatch):
+    monkeypatch.setattr(vermalab.modules, "_MEMO", {})
+    lib = library(3, 1)
+    z = build_verma_r1(Sl2Schema(3, 1), 0)
+    homs = vermalab.modules._hom(z, build_simple(Sl2Schema(3, 1), 0))
+    assert [h.tolist() for h in homs] == [
+        h.tolist() for h in hom_space(z, build_simple(Sl2Schema(3, 1), 0))
+    ]
+    with pytest.raises(ValueError, match="read-only"):
+        homs[0][0, 0] = 1
+    homs.clear()
+    assert len(vermalab.modules._hom(z, build_simple(Sl2Schema(3, 1), 0))) == 1
+    syz = syzygy(z, lib)
+    for arr in (syz.inclusion, syz.cover.map, projective_cover(z, lib).map):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+    syz.cover.summand_labels.append("L1")
+    assert syzygy(z, lib).cover.summand_labels == projective_cover(z, lib).summand_labels == ["L0"]
+    # nor can the content the digest covers
+    with pytest.raises(TypeError):
+        z.ops["e"] = z.ops["f"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        z.dim = 2
 
 
 CORRUPTED_INVERSE = """

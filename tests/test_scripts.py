@@ -50,8 +50,8 @@ def test_run_verification_times_each_suite(monkeypatch, capsys):
 
     rows = json.loads(capsys.readouterr().out)["rows"]
     suite_rows = [row for row in rows if row["p"] is not None]
-    assert len(suite_rows) == 12
-    assert [row["seconds"] for row in suite_rows] == [1, 2, 3] * 4
+    assert len(suite_rows) == 15
+    assert [row["seconds"] for row in suite_rows] == [1, 2, 3] * 5
 
 
 def test_run_verification_passes_under_optimized_python():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ from vermalab.modules import (
     CertificateError,
     ModuleLibrary,
     SchemaMismatch,
+    decompose,
     ext1_dim,
     hom_space,
     is_indecomposable,
@@ -34,7 +36,6 @@ from vermalab.modules import (
 from vermalab.sl2 import (
     DimensionNotDivisible,
     Sl2Schema,
-    UnsupportedPrime,
     _finish,
     binom_mod,
     build_simple,
@@ -187,11 +188,6 @@ def test_builder_range_errors():
         build_verma_r2(s1, 1)
 
 
-def test_level2_unsupported_prime():
-    with pytest.raises(UnsupportedPrime):
-        build_verma_r2(Sl2Schema(7, 2), 1)
-
-
 # -- level-1 Verma structure ---------------------------------------------
 
 def test_verma_r1_composition_series_frozen():
@@ -274,9 +270,15 @@ def test_ext_dims_frozen():
     assert ext1_dim(st, build_simple(s, 2), lib) == 0
 
 
+def fresh_memo(monkeypatch):
+    """Give the process-wide module memo a fresh, empty dict for one test."""
+    monkeypatch.setattr(vermalab.modules, "_MEMO", {})
+
+
 def test_cover_computes_each_hom_to_a_simple_once(monkeypatch):
-    # one hom space per simple for the top and the radical together,
-    # plus one per top summand for the maps from its cover
+    # the cover reuses the Hom(z, S) that gave the top, and solves one
+    # hom space per top summand for the maps from its cover
+    fresh_memo(monkeypatch)
     p = 3
     lib = library(p, 1)
     z = build_verma_r1(Sl2Schema(p, 1), 0)
@@ -290,42 +292,54 @@ def test_cover_computes_each_hom_to_a_simple_once(monkeypatch):
     monkeypatch.setattr(vermalab.modules, "hom_space", counting)
     cover = projective_cover(z, lib)
     assert cover.summand_labels == sorted(tops)
-    assert len(calls) == len(lib.simples) + len(tops)
+    # len(lib.simples) + len(tops) = 4 when the cover solved Hom(z, S) again
+    assert len(calls) == len(tops) == 1
+    radical_submodule(z, lib)
+    syzygy(z, lib)
+    assert len(calls) == 1
 
 
 def test_heart_computes_each_hom_from_a_simple_once(monkeypatch):
     # per cover: Hom(S, P) once for socle and its multiplicities together,
-    # Hom(P, S) once for the radical, and one hom space for the isomorphism
+    # and one hom space for the isomorphism; Hom(P, S), which gives the
+    # radical, was solved while the lifted covers were built
     calls = []
 
     def counting(m, n):
         calls.append((m.dim, n.dim))
         return hom_space(m, n)
 
-    for p, want in ((3, 14), (5, 44)):
+    for p, want in ((3, 8), (5, 24)):  # 14 and 44 when Hom(P, S) was solved again
         library(p, 1)
+        fresh_memo(monkeypatch)
+        lifted_projectives.__wrapped__(p)
         calls.clear()
         monkeypatch.setattr(vermalab.modules, "hom_space", counting)
         assert verify_heart(p).passed
         monkeypatch.undo()
-        assert len(calls) == want
+        assert len(calls) == want == (p - 1) * (p + 1)
 
 
 def count_cold_hom_calls(monkeypatch, p, build):
-    """The hom_space calls of build(), with the level-1 tables built afresh;
-    returns them with the fresh simples, whose End is not yet known."""
+    """The hom_space calls of build(), run twice in one fresh module memo,
+    each time with the level-1 tables built afresh; returns the calls of
+    each run with the simples of the first."""
     calls = []
 
     def counting(m, n):
-        calls.append((m, n))
+        calls[-1].append((m, n))
         return hom_space(m, n)
 
+    fresh_memo(monkeypatch)
     monkeypatch.setattr(vermalab.modules, "hom_space", counting)
-    for name in ("restricted_simples", "restricted_projectives", "lifted_projectives"):
-        fresh = lru_cache(getattr(vermalab.sl2, name).__wrapped__)
-        monkeypatch.setattr(vermalab.sl2, name, fresh)
-    build()
-    simples = list(vermalab.sl2.restricted_simples(p).values())
+    for run in range(2):
+        for name in ("restricted_simples", "restricted_projectives", "lifted_projectives"):
+            fresh = lru_cache(getattr(vermalab.sl2, name).__wrapped__)
+            monkeypatch.setattr(vermalab.sl2, name, fresh)
+        calls.append([])
+        build()
+        if not run:
+            simples = list(vermalab.sl2.restricted_simples(p).values())
     monkeypatch.undo()
     return calls, simples
 
@@ -340,26 +354,33 @@ def test_cover_builders_validate_the_simples_once(monkeypatch):
         vermalab.sl2.restricted_projectives(p)
         vermalab.sl2.lifted_projectives(p)
 
-    calls, simples = count_cold_hom_calls(monkeypatch, p, build)
+    (calls, again), simples = count_cold_hom_calls(monkeypatch, p, build)
     validations = [m for m, n in calls if m is n and any(m is s for s in simples)]
     assert len(validations) == p
     # 27 when each level decomposed its own tensor, 15 when decompose
     # solved End(m) again for each summand it could not split
     assert len(calls) == 13
+    # tables built again are equal in content, so the memo solves nothing
+    # (13 again when the results were cached per module object)
+    assert len(again) == 0
 
 
 def test_level1_library_reuses_the_validated_simples(monkeypatch):
     # End(S) is checked once per simple, while the covers are lifted;
-    # library(p, 1) then finds it on the simple instead of solving it again
-    calls, simples = count_cold_hom_calls(monkeypatch, 3, lambda: library.__wrapped__(3, 1))
+    # library(p, 1) then finds it in the memo instead of solving it again
+    (calls, again), simples = count_cold_hom_calls(
+        monkeypatch, 3, lambda: library.__wrapped__(3, 1)
+    )
     validations = [m for m, n in calls if m is n and any(m is s for s in simples)]
     assert len(validations) == 3  # 6 when library(3, 1) solved End(S) again
     assert len(calls) == 13
+    assert len(again) == 0  # 13 when the results were cached per module object
 
 
 def test_decompose_reuses_its_endomorphism_basis(monkeypatch):
     # decompose certifies an unsplit summand with the End(m) basis it
     # already holds; a fallback to is_indecomposable solved End(m) again
+    fresh_memo(monkeypatch)
     real_hom, real_decompose = vermalab.modules.hom_space, vermalab.modules.decompose
     inside = [0]
     calls = []
@@ -382,6 +403,76 @@ def test_decompose_reuses_its_endomorphism_basis(monkeypatch):
     for p in (3, 5):
         vermalab.sl2.lifted_projectives.__wrapped__(p)
     assert len(calls) == 16  # 24 when the fallback recomputed End(m)
+    # lifting again decomposes tensors equal in content: End(m) comes
+    # from the memo (16 again when the results were cached per module object)
+    for p in (3, 5):
+        vermalab.sl2.lifted_projectives.__wrapped__(p)
+    assert len(calls) == 16
+
+
+def test_battery_solves_each_hom_pair_once(monkeypatch):
+    # with every table and the memo cold, the battery's suites solve 917
+    # hom spaces, all distinct in content; 1,064 with 147 repeats when
+    # results were cached per module object
+    fresh_memo(monkeypatch)
+    for name in (
+        "restricted_simples",
+        "restricted_projectives",
+        "lifted_projectives",
+        "hyper_simples",
+        "hyper_projectives",
+        "library",
+    ):
+        monkeypatch.setattr(vermalab.sl2, name, lru_cache(getattr(vermalab.sl2, name).__wrapped__))
+    pairs = []
+
+    def counting(m, n):
+        pairs.append(m._digest + n._digest)
+        return hom_space(m, n)
+
+    monkeypatch.setattr(vermalab.modules, "hom_space", counting)
+    for p, r in ((3, 1), (3, 2), (5, 1), (5, 2)):
+        assert all(rep.passed for rep in run_sl2_suites(p, r))
+    assert len(pairs) == len(set(pairs)) == 917
+
+
+def test_decompose_tries_the_end_basis_before_random_candidates(monkeypatch):
+    # End(P(L0)) is local, which the basis certifies before any random
+    # candidate is drawn; 82 Fitting rank tests when all 80 were built
+    # and tested first
+    m = library(5, 1).projectives["L0"]
+    basis = vermalab.modules._hom(m, m)
+    real_rank = GF.rank
+    fitting_ranks = []
+
+    def counting(self, a):
+        if a.shape == (m.dim, m.dim):
+            fitting_ranks.append(a)
+        return real_rank(self, a)
+
+    monkeypatch.setattr(GF, "rank", counting)
+    parts = decompose(m)
+    assert len(parts) == 1 and parts[0] is m
+    assert len(fitting_ranks) <= len(basis) == 2
+
+
+def test_lazy_candidates_keep_the_splits():
+    # the summands of every lifted tensor, and the lifts chosen from them,
+    # as recorded when all random candidates were built up front
+    h = hashlib.sha256()
+    for p in (3, 5):
+        s1 = Sl2Schema(p, 1)
+        st2 = restricted_as_r2(steinberg(s1))
+        for lam in range(p - 1):
+            for part in decompose(tensor(st2, restricted_as_r2(build_simple(s1, p - 1 - lam)))):
+                h.update(repr((p, lam, part.dim)).encode())
+                for label in part.labels:
+                    h.update(part.ops[label].tobytes())
+        for lam, q in sorted(lifted_projectives(p).items()):
+            h.update(repr((p, lam, q.dim)).encode())
+            for label in q.labels:
+                h.update(q.ops[label].tobytes())
+    assert h.hexdigest()[:16] == "d0a31fc0b3b4fbfd"
 
 
 def test_divided_power_rejects_out_of_range_exponents():
@@ -640,11 +731,3 @@ def test_suite_reports_serialize():
     assert d["pass"] is True
     assert isinstance(d["cases"], list)
 
-
-def test_unsupported_prime_suites():
-    with pytest.raises(UnsupportedPrime):
-        verify_dr2(7)
-    with pytest.raises(UnsupportedPrime):
-        from vermalab.sl2 import verify_vv4_filtration
-
-        verify_vv4_filtration(7)
