@@ -8,10 +8,12 @@ Every workload named in BENCHMARK.json runs once per seed through the
 checkout's own ``bench/run.py`` at ``--trace 0`` and at the run length
 BENCHMARK.json sets.  With ``--baseline`` (another checkout), each seed
 runs on both trees as one pair, alternating which runs first, and the
-file also counts per metric how many pairs the change won.  The file
-holds every run, the median and quartiles of each end-to-end metric per
-tree, and the Python and numpy versions and CPU count of the host.
-Exits 1 if any run fails.
+file also counts per metric how many pairs the change won.  Then each
+tree runs every workload once more at ``--trace 1``, with the first
+seed, and the file keeps that run's per-layer metrics.  The file holds
+every run, the median and quartiles of each end-to-end metric per tree,
+the per-layer metrics per tree, and the Python and numpy versions and
+CPU count of the host.  Exits 1 if any run fails.
 """
 import argparse
 import json
@@ -28,11 +30,11 @@ ROOT = Path(__file__).resolve().parents[1]
 MIN_SEEDS = 3
 
 
-def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """One ``bench/run.py`` run in `tree`; its closing JSON line."""
     cmd = [
         sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -117,6 +119,15 @@ def main() -> int:
                       flush=True)
         entry = {label: {"summary": summarize(rs, names), "runs": rs}
                  for label, rs in runs.items()}
+        for label, tree in trees.items():
+            traced = run_bench(tree, workload, seeds[0], bench["run_seconds"], trace=1)
+            ok &= bool(traced["correct"])
+            entry[label]["per_layer"] = {
+                "seed": seeds[0],
+                "correct": traced["correct"],
+                "metrics": {n: m["value"] for n, m in traced["metrics"].items()},
+            }
+            print(f"{workload} traced {label}: correct {traced['correct']}", flush=True)
         if "baseline" in trees:
             entry["change_wins"] = wins(runs["change"], runs["baseline"], spec)
         record["workloads"][workload] = entry

@@ -87,12 +87,17 @@ class GF:
     def normalize(self, a):
         """Reduce plain integers into the field.
 
-        For k=2 only prime-field integers (or already-encoded values in
-        [0, q)) are meaningful; arbitrary ints are reduced mod q and
-        reinterpreted through the positional encoding.
+        Over F_p every integer is reduced mod p.  Over F_{p^2} an integer
+        outside [0, q) encodes no element (reducing it mod q would
+        reinterpret it through the positional encoding), so it raises
+        ValueError.
         """
         arr = np.asarray(a, dtype=np.int64)
-        return arr % self.q if self.k == 2 else arr % self.p
+        if self.k == 1:
+            return arr % self.p
+        if arr.size and (arr.min() < 0 or arr.max() >= self.q):
+            raise ValueError(f"entries outside [0, {self.q}) encode no element of F_{self.q}")
+        return arr.copy()
 
     def _split(self, a):
         return a % self.p, a // self.p
@@ -203,7 +208,10 @@ class GF:
     def kron(self, A, B):
         if self.k != 1:
             raise NotImplementedError("kron only needed over the prime field")
-        return np.kron(A % self.p, B % self.p) % self.p
+        A = np.asarray(A, dtype=np.int64) % self.p
+        B = np.asarray(B, dtype=np.int64) % self.p
+        (a0, a1), (b0, b1) = A.shape, B.shape
+        return (A[:, None, :, None] * B[None, :, None, :]).reshape(a0 * b0, a1 * b1) % self.p
 
     def rref(self, A):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""
@@ -213,32 +221,37 @@ class GF:
         return self._rref_generic(R)
 
     def _rref_prime(self, R):
-        # Deferred reduction: off-pivot rows accumulate values bounded by
-        # p^2 * (#pivots), far below int64 overflow for our sizes.
+        # Deferred reduction: R is reduced on entry and at the end.  Each
+        # pivot adds at most (p-1)^2 to the absolute value of the entries
+        # it updates; bound tracks the largest, and the trailing block is
+        # reduced again before it could reach 2^63.
         p = self.p
         rows, cols = R.shape
+        R %= p
+        bound = p - 1
         pivots = []
         r = 0
         for c in range(cols):
             if r == rows:
                 break
-            R[r:, c] %= p
-            nz = np.nonzero(R[r:, c])[0]
-            if nz.size == 0:
+            col = R[r:, c] % p
+            # the reduced echelon form is unique, so any nonzero row serves
+            i = int(col.argmax())
+            if not col[i]:
                 continue
-            i = r + int(nz[0])
+            i += r
             if i != r:
                 R[[r, i]] = R[[i, r]]
-            R[r] %= p
-            pivot_inv = pow(int(R[r, c]), p - 2, p)
-            R[r] = (R[r] * pivot_inv) % p
-            # rows above r never had column c reduced; an unreduced factor
-            # would multiply their accumulated growth and break the bound
+            # row r is zero mod p left of column c, so only R[:, c:] changes
+            if bound + (p - 1) ** 2 >= _INT64_SAFE:
+                R[:, c:] %= p
+                bound = p - 1
+            pivot_row = R[r, c:] % p
+            R[r, c:] = pivot_row * pow(int(pivot_row[0]), p - 2, p) % p
             factors = R[:, c] % p
             factors[r] = 0
-            nzrows = np.nonzero(factors)[0]
-            if nzrows.size:
-                R[nzrows] -= np.outer(factors[nzrows], R[r])
+            R[:, c:] -= factors[:, None] * R[r, c:]
+            bound += (p - 1) ** 2
             pivots.append(c)
             r += 1
         R %= p

@@ -438,8 +438,65 @@ class ModuleLibrary:
 
 
 def _homs_to_simples(m: FpModule, lib: ModuleLibrary) -> dict[str, list[np.ndarray]]:
-    """Basis of Hom(m, S) for every simple S: the one pass that tops and radicals share."""
-    return {key: _hom(m, s) for key, s in lib.simples.items()}
+    """Basis of Hom(m, S) for every simple S: the one pass that tops and radicals share.
+
+    A source spun up from one generator skips the solve for every S that
+    its first layer already rules out (see _first_layer_forces_zero); the
+    empty answer goes into the memo as if solved.
+    """
+    screened = m.dim > 0 and len(m._spin_plan.generators) == 1
+    out = {}
+    for key, s in lib.simples.items():
+        if screened and _first_layer_forces_zero(m, s):
+            out[key] = list(_memo(("hom", m._digest, s._digest), lambda: ()))
+        else:
+            out[key] = _hom(m, s)
+    return out
+
+
+def _first_layer_forces_zero(m: FpModule, n: FpModule) -> bool:
+    """Whether every map from m, spun up from one generator v, to n is zero.
+
+    Such a map is fixed by the image w of v.  w lies on the rows of n
+    whose entries on every operator diagonal in both modules match those
+    of v, and it satisfies the relations of v's first spin-up layer (for
+    a baby Verma: e w = 0, e_p w = 0, h w = lam w).  If only w = 0 does,
+    the hom space is zero.  The answer depends on n, the labels, v's
+    diagonal entries and the first layer only, which many sources share
+    (the 25 level-2 baby Vermas at p = 5 have 5 distinct ones), so it is
+    memoized on those.
+    """
+    plan = m._spin_plan
+    [(start, layers)] = plan.generators
+    layer = layers[0]
+    weights = tuple(
+        (label, int(m._diagonals[label][start])) for label in plan.labels if label in m._diagonals
+    )
+    key = (
+        "screen", n._digest, plan.labels, weights,
+        layer.new.tobytes(), layer.dep.tobytes(), layer.coeffs.shape, layer.coeffs.tobytes(),
+    )
+    return _memo(key, lambda: _relations_force_zero(n, plan.labels, weights, layer))
+
+
+def _relations_force_zero(n: FpModule, labels, weights, layer: _SpinLayer) -> bool:
+    # the first layer acts on v alone, so candidate l is label l applied
+    # to v, and the basis it relates to is v followed by the new candidates
+    f = n.field
+    rows = np.ones(n.dim, dtype=bool)
+    for label, weight in weights:
+        if label in n._diagonals:
+            rows &= n._diagonals[label] == weight
+    rows = np.flatnonzero(rows)
+    if not len(rows):
+        return True
+    if not len(layer.dep):
+        return False
+    targets = np.stack([n.ops[label] for label in labels])
+    basis_images = np.concatenate([f.identity(n.dim)[None], targets[layer.new]])
+    related = f.matmul(layer.coeffs, basis_images.reshape(len(basis_images), -1))
+    relations = f.sub(targets[layer.dep], related.reshape(-1, n.dim, n.dim))
+    return f.rank(relations[:, :, rows].reshape(-1, len(rows))) == len(rows)
 
 
 def _multiplicities(homs: dict[str, list[np.ndarray]]) -> dict[str, int]:
@@ -1087,10 +1144,19 @@ def eigenvalue_multiplicities(field: GF, mat) -> dict[int, int]:
     """Multiplicity of each prime-field eigenvalue c as dim ker(mat - c).
 
     Faithful for matrices satisfying x^p = x, which are diagonalizable
-    with prime-field eigenvalues.
+    with prime-field eigenvalues.  A diagonal matrix (the torus weights
+    of a graded module) has its entries counted; any other takes one
+    rank per c.
     """
     mat = field.normalize(np.asarray(mat, dtype=np.int64))
     n = mat.shape[0]
+    d = np.diagonal(mat)
+    if np.array_equal(mat, np.diag(d)):
+        # a diagonal matrix: count its entries
+        if np.any(d >= field.p):
+            raise CertificateError("matrix is not diagonalizable over the prime field")
+        values, counts = np.unique(d, return_counts=True)
+        return {int(c): int(k) for c, k in zip(values, counts)}
     out = {}
     total = 0
     for c in range(field.p):

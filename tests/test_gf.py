@@ -259,3 +259,80 @@ def test_matpow_returns_a_fresh_reduced_array():
         once = F.matpow(A, 1)
         assert np_to_lists(once) == [[1, 4], [0, 3]]
         assert not np.shares_memory(once, A)
+
+
+# -- _rref_prime against the oracle on the inputs it handles specially ----
+
+def assert_rref_matches_oracle(F, A):
+    R, pivots = F.rref(A)
+    want, want_pivots = oracles.mat_rref(np_to_lists(A), F.p)
+    # the oracle leaves rows it never touches unreduced
+    assert pivots == want_pivots
+    assert np_to_lists(R) == [[x % F.p for x in row] for row in want]
+
+
+def test_rref_reduces_negative_and_huge_entries():
+    rng = np.random.default_rng(3)
+    for p in (5, 11):
+        F = GF(p)
+        A = rng.integers(-(2**62), 2**62, size=(12, 15))
+        A[0, 0] = np.iinfo(np.int64).min
+        assert_rref_matches_oracle(F, A)
+        assert_rref_matches_oracle(F, rng.integers(2**40, 2**41, size=(9, 9)))
+        assert_rref_matches_oracle(F, -rng.integers(0, p, size=(6, 8)))
+
+
+def test_rref_pivot_column_with_different_residues():
+    # the nonzero rows of each pivot column hold different residues, and
+    # which of them becomes the pivot row must not show in the result
+    F = GF(7)
+    A = np.array(
+        [
+            [0, 3, 1, 2, 0],
+            [3, 1, 4, 0, 6],
+            [0, 6, 2, 4, 1],
+            [6, 2, 1, 5, 5],
+            [1, 0, 3, 3, 2],
+            [5, 5, 5, 1, 0],
+        ]
+    )
+    assert_rref_matches_oracle(F, A)
+    assert_rref_matches_oracle(F, A.T)
+
+
+def test_rref_skips_zero_columns():
+    F = GF(5)
+    rng = np.random.default_rng(4)
+    A = rng.integers(0, 5, size=(6, 10))
+    A[:, [0, 3, 4, 9]] = 0
+    A[:, 6] = 5 * rng.integers(-3, 3, size=6)  # zero mod p, not zero
+    assert_rref_matches_oracle(F, A)
+    assert F.rref(np.zeros((3, 4), dtype=np.int64))[1] == []
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (75, 5), (5, 25)])
+def test_rref_thin_and_wide_shapes(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    for p in (3, 7):
+        F = GF(p)
+        A = rng.integers(0, p, size=shape)
+        assert_rref_matches_oracle(F, A)
+        if shape[0] > 1:
+            # rank deficient: the last row is a combination of the first two
+            A[-1] = (2 * A[0] + A[1]) % p
+            assert_rref_matches_oracle(F, A)
+
+
+def test_rref_dense_200_at_p11():
+    F = GF(11)
+    A = np.random.default_rng(11).integers(0, 11, size=(200, 200))
+    assert_rref_matches_oracle(F, A)
+
+
+@pytest.mark.parametrize("p, rows", [(2**31 - 1, 20), (1_073_741_789, 60)])
+def test_rref_reduces_before_growth_reaches_int64(p, rows):
+    # each pivot adds up to (p-1)^2, about 2^62 at p = 2^31 - 1, to the
+    # entries right of it; left unreduced, the entries overflowed int64
+    # and came out wrong in the non-pivot columns of these wide matrices
+    rng = np.random.default_rng(rows)
+    assert_rref_matches_oracle(GF(p), rng.integers(0, p, size=(rows, 2 * rows)))

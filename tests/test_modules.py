@@ -703,6 +703,21 @@ def test_eigenvalue_multiplicities():
         eigenvalue_multiplicities(f, nilpotent_block(2))
 
 
+def test_eigenvalue_multiplicities_count_a_diagonal_as_its_conjugate_ranks():
+    f = GF(5)
+    d = np.diag([1, 1, 3, 0, 4, 4, 4]).astype(np.int64)
+    conj = conjugate(FpModule(f, 7, {"h": d}), 2)
+    assert not np.array_equal(conj.ops["h"], np.diag(np.diagonal(conj.ops["h"])))
+    assert eigenvalue_multiplicities(f, d) == {0: 1, 1: 2, 3: 1, 4: 3}
+    assert eigenvalue_multiplicities(f, conj.ops["h"]) == {0: 1, 1: 2, 3: 1, 4: 3}
+    # an F_9 entry outside F_3 is an eigenvalue outside the prime field
+    f9 = GF(3, 2)
+    d9 = np.diag([1, 4]).astype(np.int64)
+    for mat in (d9, conjugate(FpModule(f9, 2, {"h": d9}), 1).ops["h"]):
+        with pytest.raises(CertificateError, match="not diagonalizable"):
+            eigenvalue_multiplicities(f9, mat)
+
+
 def test_dump_parse_round_trip():
     m = conjugate(jordan(5, 2, 3), 3)
     text = dump_text(m)
@@ -722,6 +737,17 @@ def test_dump_parse_quadratic_field():
     back = parse_text(dump_text(m))
     assert back.field == f
     assert np.array_equal(back.ops["x"], m.ops["x"])
+
+
+def test_parse_rejects_entries_outside_the_quadratic_field():
+    # over F_9 the integers -1 and 9 encode no element; reducing them mod
+    # 9 would silently read them as 8 = 2 + 2t and 0
+    for bad in (-1, 9):
+        with pytest.raises(ValueError, match="encode no element"):
+            parse_text(f"dim=2 q=9 labels=x\n0,{bad}\n0,0\n")
+    with pytest.raises(ValueError, match="encode no element"):
+        GF(3, 2).normalize(np.array([[0, 9]]))
+    assert parse_text("dim=2 q=3 labels=x\n0,-1\n0,3\n").ops["x"].tolist() == [[0, 2], [0, 0]]
 
 
 def test_parse_rejects_malformed():

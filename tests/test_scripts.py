@@ -78,9 +78,12 @@ def test_bench_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
     bench = load_script("bench")
     calls = []
 
-    def fake_run(tree, workload, seed, seconds):
+    def fake_run(tree, workload, seed, seconds, trace=0):
         label = "change" if tree == bench.ROOT else "baseline"
-        calls.append((workload, seed, label))
+        calls.append((workload, seed, label, trace))
+        if trace:
+            calls_metric = 10 if label == "change" else 20
+            return {"correct": True, "metrics": {"gf.rref.calls": {"value": calls_metric}}}
         run_s = seed / 10 if label == "change" else seed
         metrics = {m: {"value": 1.0, "unit": "s"} for m in ("setup_s", "peak_rss_mb")}
         metrics["run_s"] = {"value": run_s, "unit": "s"}
@@ -92,9 +95,12 @@ def test_bench_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
         "bench.py", "--out", str(out), "--seeds", "1,2,3", "--baseline", str(tmp_path),
     ])
     assert bench.main() == 0
-    assert [label for w, _, label in calls if w == "queries"] == [
-        "change", "baseline", "baseline", "change", "change", "baseline",
+    assert [(label, trace) for w, _, label, trace in calls if w == "queries"] == [
+        ("change", 0), ("baseline", 0), ("baseline", 0), ("change", 0), ("change", 0),
+        ("baseline", 0), ("change", 1), ("baseline", 1),
     ]
+    # one traced run per tree and workload, with the first seed
+    assert [seed for _, seed, _, trace in calls if trace] == [1, 1, 1, 1]
     record = json.loads(out.read_text())
     assert record["seeds"] == [1, 2, 3] and record["env"]["nproc"] >= 1
     queries = record["workloads"]["queries"]
@@ -103,6 +109,8 @@ def test_bench_pairs_alternate_and_count_wins(monkeypatch, tmp_path):
     assert queries["baseline"]["summary"]["run_s"]["median"] == 2
     assert queries["change_wins"]["run_s"] == 3
     assert queries["change_wins"]["setup_s"] == 0  # ties win nothing
+    assert queries["change"]["per_layer"]["metrics"] == {"gf.rref.calls": 10}
+    assert queries["baseline"]["per_layer"]["metrics"] == {"gf.rref.calls": 20}
 
     monkeypatch.setattr(sys, "argv", ["bench.py", "--out", str(out), "--seeds", "1,2"])
     with pytest.raises(SystemExit):

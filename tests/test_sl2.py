@@ -18,9 +18,11 @@ from oracles import intertwiner_basis
 from vermalab.gf import GF
 from vermalab.modules import (
     CertificateError,
+    FpModule,
     ModuleLibrary,
     SchemaMismatch,
     decompose,
+    direct_sum,
     ext1_dim,
     hom_space,
     is_indecomposable,
@@ -33,6 +35,7 @@ from vermalab.modules import (
     syzygy,
     top_multiplicities,
 )
+from vermalab.rootsys import CartanSpec, build_root_system
 from vermalab.sl2 import (
     DimensionNotDivisible,
     Sl2Schema,
@@ -42,6 +45,7 @@ from vermalab.sl2 import (
     build_verma_r1,
     build_verma_r2,
     frobenius_twist,
+    hyper_projectives,
     hyper_simples,
     library,
     lifted_projectives,
@@ -59,6 +63,7 @@ from vermalab.sl2 import (
     verify_heart,
     verify_vv6,
 )
+from vermalab.verma import depth
 
 
 def exact_binom(n: int, k: int) -> int:
@@ -128,9 +133,61 @@ def test_schema_check_survives_optimized_python():
     assert [line.split()[0] for line in got[1:]] == ["SchemaMismatch", "SchemaMismatch"]
 
 
-def test_schema_of_rejects_foreign_labels():
-    from vermalab.modules import FpModule
+def conjugated(mod):
+    """The same module in the basis of an upper unitriangular matrix."""
+    f = mod.field
+    g = np.triu(np.ones((mod.dim, mod.dim), dtype=np.int64))
+    ginv = f.inverse(g)
+    return FpModule(f, mod.dim, {l: f.matmul(g, f.matmul(x, ginv)) for l, x in mod.ops.items()})
 
+
+def schema_cases():
+    # a level-1 simple, a level-2 Verma and a level-2 tensor L(2) (x) L(1)^twist
+    s1, s2 = Sl2Schema(5, 1), Sl2Schema(3, 2)
+    return [(s1, build_simple(s1, 3)), (s2, build_verma_r2(s2, 4)), (s2, hyper_simples(3)["L5"])]
+
+
+def test_schema_check_accepts_a_non_diagonal_h():
+    for schema, mod in schema_cases():
+        conj = conjugated(mod)
+        assert "h" in mod._diagonals and "h" not in conj._diagonals
+        schema.check(mod)
+        schema.check(conj)
+
+
+def check_failure(schema, mod):
+    with pytest.raises(CertificateError) as info:
+        schema.check(mod)
+    return str(info.value)
+
+
+def test_schema_check_fails_the_same_relation_on_both_paths():
+    # the entrywise weight relations of a diagonal h and the products of
+    # a conjugated one name the same first failure
+    for schema, mod in schema_cases():
+        broken = FpModule(mod.field, mod.dim, {**mod.ops, "e": mod.field.mul(mod.ops["e"], 2)})
+        assert check_failure(schema, broken) == check_failure(schema, conjugated(broken))
+        assert "[e, f] = h" in check_failure(schema, broken)
+    # an e_p entry between basis vectors of different weights breaks only
+    # [h, e_p] = 0, which a diagonal h checks entrywise
+    schema, mod = schema_cases()[1]
+    ep = mod.ops["e_p"].copy()
+    ep[0, 1] = 1
+    broken = FpModule(mod.field, mod.dim, {**mod.ops, "e_p": ep})
+    assert check_failure(schema, broken) == check_failure(schema, conjugated(broken))
+    assert "[h, e_p] = 0" in check_failure(schema, broken)
+
+
+def test_schema_check_takes_weights_to_the_p_th_power_mod_p():
+    # d**p overflows int64 from p = 19 on; h^p = h must still hold
+    for p in (19, 23):
+        schema = Sl2Schema(p, 1)
+        mod = build_verma_r1(schema, 3)
+        assert "h" in mod._diagonals
+        schema.check(mod)
+
+
+def test_schema_of_rejects_foreign_labels():
     m = FpModule(GF(3), 1, {"x": np.zeros((1, 1), dtype=np.int64)})
     with pytest.raises(SchemaMismatch):
         schema_of(m)
@@ -411,9 +468,10 @@ def test_decompose_reuses_its_endomorphism_basis(monkeypatch):
 
 
 def test_battery_solves_each_hom_pair_once(monkeypatch):
-    # with every table and the memo cold, the battery's suites solve 917
-    # hom spaces, all distinct in content; 1,064 with 147 repeats when
-    # results were cached per module object
+    # with every table and the memo cold, the battery's suites solve 327
+    # hom spaces, all distinct in content; 917 when every Hom(m, S) to a
+    # simple was solved, with no first-layer screen, and 1,064 with 147
+    # repeats when results were cached per module object
     fresh_memo(monkeypatch)
     for name in (
         "restricted_simples",
@@ -433,7 +491,7 @@ def test_battery_solves_each_hom_pair_once(monkeypatch):
     monkeypatch.setattr(vermalab.modules, "hom_space", counting)
     for p, r in ((3, 1), (3, 2), (5, 1), (5, 2)):
         assert all(rep.passed for rep in run_sl2_suites(p, r))
-    assert len(pairs) == len(set(pairs)) == 917
+    assert len(pairs) == len(set(pairs)) == 327
 
 
 def test_decompose_tries_the_end_basis_before_random_candidates(monkeypatch):
@@ -475,11 +533,71 @@ def test_lazy_candidates_keep_the_splits():
     assert h.hexdigest()[:16] == "d0a31fc0b3b4fbfd"
 
 
-def test_divided_power_rejects_out_of_range_exponents():
-    st1 = steinberg(Sl2Schema(3, 1))
-    for i in (0, 3):
-        with pytest.raises(ValueError, match="divided power"):
-            vermalab.sl2._divided_power(st1, "e", i)
+# sha256 over every level-2 simple and cover at p = 3 and 5 and the
+# right-hand tensors of verify_dr2, recorded when tensor summed p - 1
+# kron products of divided powers, each from its own matrix power
+LEVEL2_TENSOR_DIGEST = "197bf32bb93d7e103c62374560d3135b0aae7eb180cc6809c34b45bfa670b0a4"
+
+
+def test_level2_tensors_match_recorded_digest():
+    h = hashlib.sha256()
+
+    def add(tag, mod):
+        h.update(repr((tag, mod.field.p, mod.field.k, mod.dim)).encode())
+        for label in mod.labels:
+            h.update(label.encode())
+            h.update(mod.ops[label].astype("<i8").tobytes())
+
+    rs = build_root_system(CartanSpec.from_type("A1"))
+    dr2 = 0
+    for p in (3, 5):
+        for kind, mods in (("simple", hyper_simples(p)), ("projective", hyper_projectives(p))):
+            for key, mod in mods.items():
+                add((p, kind, key), mod)
+        s1 = Sl2Schema(p, 1)
+        st2 = restricted_as_r2(steinberg(s1))
+        for mu in range(p):
+            if depth(rs, (mu,), p) == 1:
+                add((p, "dr2", mu), tensor(frobenius_twist(build_verma_r1(s1, mu)), st2))
+                dr2 += 1
+    assert dr2 == 6
+    assert h.hexdigest() == LEVEL2_TENSOR_DIGEST
+
+
+def test_level2_verma_tops_from_a_cold_memo(monkeypatch):
+    fresh_memo(monkeypatch)
+    schema = Sl2Schema(5, 2)
+    lib = library(5, 2)
+    for lam in range(25):
+        assert top_multiplicities(build_verma_r2(schema, lam), lib) == {simple_key(lam): 1}
+
+
+def test_first_layer_screen_skips_only_zero_hom_spaces(monkeypatch):
+    fresh_memo(monkeypatch)
+    ruled_out = 0
+    for p, r in ((3, 1), (5, 1), (3, 2)):
+        schema, lib = Sl2Schema(p, r), library(p, r)
+        build = build_verma_r1 if r == 1 else build_verma_r2
+        sources = [build(schema, lam) for lam in range(p**r)]
+        sources += [*lib.simples.values(), *lib.projectives.values()]
+        for m in sources:
+            if len(m._spin_plan.generators) != 1:
+                continue
+            for s in lib.simples.values():
+                if vermalab.modules._first_layer_forces_zero(m, s):
+                    assert hom_space(m, s) == []
+                    ruled_out += 1
+    assert ruled_out > 100
+
+
+def test_two_generator_source_gets_the_tops_of_a_full_solve(monkeypatch):
+    fresh_memo(monkeypatch)
+    schema, lib = Sl2Schema(5, 2), library(5, 2)
+    m = direct_sum([build_verma_r2(schema, 3), build_verma_r2(schema, 12)])
+    assert len(m._spin_plan.generators) == 2
+    solved = {key: len(hom_space(m, s)) for key, s in lib.simples.items()}
+    assert top_multiplicities(m, lib) == {k: n for k, n in solved.items() if n}
+    assert top_multiplicities(m, lib) == {"L3": 1, "L12": 1}
 
 
 def test_library_checks_that_the_covers_exhaust_the_algebra(monkeypatch):
@@ -525,8 +643,6 @@ def test_verma_r2_dimension_and_top_weight_case():
         z = build_verma_r2(s2, p * p - 1)
         assert z.dim == p * p
         st1 = steinberg(Sl2Schema(p, 1))
-        from vermalab.modules import direct_sum
-
         assert bool(is_isomorphic(restrict_to_r1(z), direct_sum([st1] * p)))
 
 
@@ -651,8 +767,6 @@ def test_scan_e_and_f_point_rule():
 
 
 def test_scan_of_zero_action_module_sees_everything():
-    from vermalab.modules import FpModule
-
     p = 3
     f = GF(p)
     zero = f.zeros(p, p)
