@@ -63,6 +63,14 @@ class GF:
             raise ValueError(f"unsupported extension degree k = {self.k}")
         if self.k == 2 and self.p == 2:
             raise ValueError("quadratic extension of F_2 not supported")
+        # mul, kron and rref multiply reduced entries in int64; over F_{p^2},
+        # mul forms a0 b0 + c a1 b1
+        bound = (self.p - 1) ** 2 * (1 if self.k == 1 else 1 + self.nonresidue)
+        if bound >= _INT64_SAFE:
+            raise ValueError(
+                f"p = {self.p} is too large for F_{self.q}: products of reduced entries"
+                f" reach {bound}, and int64 holds them only below 2^63"
+            )
 
     @classmethod
     def from_q(cls, q: int) -> GF:
@@ -335,9 +343,6 @@ class GF:
     def is_invertible(self, A) -> bool:
         A = np.asarray(A, dtype=np.int64)
         return A.shape[0] == A.shape[1] and self.rank(A) == A.shape[0]
-
-    def random_matrix(self, rng: np.random.Generator, rows: int, cols: int):
-        return rng.integers(0, self.q, size=(rows, cols), dtype=np.int64)
 
     def column_space_basis(self, A):
         """A maximal independent subset of the columns of A (as a matrix)."""

@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf import GF, is_prime
+from .gf import _FLOAT_EXACT, _INT64_SAFE, GF, is_prime
 
 
 class SchemaMismatch(ValueError):
@@ -63,6 +63,8 @@ _ISO_TRIES = 200
 _DECOMPOSE_TRIES = 80
 _INDECOMPOSABLE_TRIES = 60
 _EXHAUST_BOUND = 4096
+# entries of the largest stack of products algebra_radical forms at once
+_RADICAL_STACK = 2**22
 
 
 @dataclass(frozen=True)
@@ -204,68 +206,128 @@ class _SpinPlan:
     binv: np.ndarray
 
 
+class _SpanBasis:
+    """A reduced basis of the span found so far, carrying coordinates.
+
+    Each row is [v | t]: v is a vector of the span, and t holds the
+    coordinates of v in the spin-up basis vectors found so far.  The v
+    parts are the identity on the pivot columns ``piv``, one per row.
+    """
+
+    def __init__(self, f: GF, d: int):
+        self.f = f
+        self.d = d
+        self.rows = f.zeros(0, 2 * d)
+        self.piv: list[int] = []
+
+    def extend(self, cands) -> list[int]:
+        """Indices of the candidates (rows) outside the span of the basis
+        and of the candidates before them.  Each joins the basis, in order,
+        as the next spin-up basis vector."""
+        f, d = self.f, self.d
+        res = np.zeros((len(cands), 2 * d), dtype=np.int64)
+        res[:, :d] = cands
+        if self.piv:
+            # one product reduces every candidate against the basis so far
+            res = f.sub(res, f.matmul(cands[:, self.piv], self.rows))
+        live = np.flatnonzero(res[:, :d].any(axis=1))
+        if not len(live):
+            return []
+        # the basis rows, then the residues still in play; each accepted
+        # residue clears its pivot column from every other row, so the
+        # residues after it arrive reduced against it
+        size = len(self.piv)
+        work = np.concatenate([self.rows, res[live]])
+        new = []
+        for at in range(size, len(work)):
+            nonzero = np.flatnonzero(work[at, :d])
+            if not len(nonzero):
+                continue
+            c = int(nonzero[0])
+            # the candidate becomes basis vector size + len(new), and its
+            # residue is the candidate minus combinations of earlier rows
+            work[at, d + size + len(new)] = 1
+            row = f.mul(work[at], f.inv(work[at, c]))
+            work[at] = row
+            rows = np.flatnonzero(work[:, c])
+            rows = rows[rows != at]
+            if len(rows):
+                # the rows with an entry in column c subtract that multiple of row
+                work[rows] = f.add(work[rows], f.mul(f.neg(work[rows, c])[:, None], row))
+            new.append(at - size)
+            self.piv.append(c)
+        if len(new) < len(live):
+            work = np.concatenate([work[:size], work[size + np.array(new, dtype=np.intp)]])
+        self.rows = work
+        return [int(live[i]) for i in new]
+
+    def inverse(self) -> np.ndarray:
+        """The inverse of the spin-up basis, once the span is everything.
+
+        Each v part is then the unit row at its pivot, so t is the
+        pivot's column of the inverse.
+        """
+        binv = self.f.zeros(self.d, self.d)
+        binv[:, self.piv] = self.rows[:, self.d :].T
+        return binv
+
+
 def _spin_up(m: FpModule) -> _SpinPlan:
-    # each layer's candidates are reduced together against a fully
-    # reduced echelon (rows ech, pivot columns piv) of the basis so far
     f = m.field
     d = m.dim
     labels = m.labels
     stacked = np.vstack([m.ops[label] for label in labels])
     basis = f.zeros(d, d)
-    size = 0
-    ech = f.zeros(0, d)
-    piv: list[int] = []
-
-    def extend(cands):
-        # indices of the candidates (rows) outside the span of the basis
-        # and of the candidates before them; the echelon absorbs them
-        nonlocal ech, piv
-        residues = f.sub(cands, f.matmul(cands[:, piv], ech))
-        _, new = f.rref(residues.T)
-        if new:
-            rows, new_piv = f.rref(residues[new])
-            ech = np.vstack([f.sub(ech, f.matmul(ech[:, new_piv], rows)), rows])
-            piv = piv + new_piv
-        return new
-
-    grown = []  # per generator: (start, [(lo, hi, new, dep, dependent candidates)])
+    span = _SpanBasis(f, d)
+    grown = []  # per generator: (start, [(lo, hi, new, dep)])
+    dependent = []  # per layer: (its dependent candidates, basis size after it)
     for start in range(d):
-        if size == d:
+        if len(span.piv) == d:
             break
         unit = f.zeros(1, d)
         unit[0, start] = 1
-        if not extend(unit):
+        if not span.extend(unit):
             continue
-        basis[start, size] = 1
-        lo, hi = size, size + 1
-        size = hi
+        hi = len(span.piv)
+        lo = hi - 1
+        basis[start, lo] = 1
         layers = []
         while lo < hi:
             k = hi - lo
             cands = f.matmul(stacked, basis[:, lo:hi]).reshape(len(labels), d, k)
             cands = cands.transpose(0, 2, 1).reshape(-1, d)
-            new = extend(cands)
+            new = np.array(span.extend(cands), dtype=np.intp)
             dep = np.delete(np.arange(len(cands)), new)
-            basis[:, size : size + len(new)] = cands[new].T
-            layers.append((lo, hi, np.array(new, dtype=np.intp), dep, cands[dep]))
-            lo, hi = hi, size + len(new)
-            size = hi
+            basis[:, hi : hi + len(new)] = cands[new].T
+            layers.append((lo, hi, new, dep))
+            dependent.append((cands[dep], hi + len(new)))
+            lo, hi = hi, hi + len(new)
         grown.append((start, layers))
-    if size != d:
-        raise CertificateError(f"spin-up found {size} basis vectors in dimension {d}")
+    if len(span.piv) != d:
+        raise CertificateError(f"spin-up found {len(span.piv)} basis vectors in dimension {d}")
 
-    binv = f.inverse(basis)
+    binv = span.inverse()
+    if not np.array_equal(f.matmul(basis, binv), f.identity(d)):
+        raise CertificateError("spin-up basis times its assembled inverse is not the identity")
+    # the relations of every layer are certified here, in two products, so
+    # that a hom space can trust them without seeing the source module again
+    dep_vecs = np.concatenate([f.zeros(0, d), *(vecs for vecs, _ in dependent)])
+    tops = np.repeat(
+        np.array([top for _, top in dependent], dtype=np.intp),
+        [len(vecs) for vecs, _ in dependent],
+    )
+    coeffs = f.matmul(dep_vecs, binv.T)
+    coeffs[np.arange(d) >= tops[:, None]] = 0
+    if not np.array_equal(f.matmul(coeffs, basis.T), dep_vecs):
+        raise CertificateError("spin-up relation does not hold in the source module")
     generators = []
+    at = 0
     for start, layers in grown:
         done = []
-        for lo, hi, new, dep, dep_vecs in layers:
+        for lo, hi, new, dep in layers:
             top = hi + len(new)
-            coeffs = f.matmul(dep_vecs, binv.T)[:, :top]
-            # the relations are certified here, so that a hom space can
-            # trust them without seeing the source module again
-            if not np.array_equal(f.matmul(coeffs, basis[:, :top].T), dep_vecs):
-                raise CertificateError("spin-up relation does not hold in the source module")
-            done.append(_SpinLayer(lo, hi, new, dep, coeffs))
+            done.append(_SpinLayer(lo, hi, new, dep, coeffs[at : at + len(dep), :top]))
+            at += len(dep)
         generators.append((start, tuple(done)))
     return _SpinPlan(labels, tuple(generators), binv)
 
@@ -871,19 +933,32 @@ def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
 
 # -- radical of a matrix algebra ----------------------------------------
 
-def _integer_power_trace(mat: np.ndarray, e: int) -> int:
-    """Trace of the e-th power of the integer lift, computed exactly."""
-    lifted = np.array(mat, dtype=object)
-    n = lifted.shape[0]
-    result = np.array(np.eye(n, dtype=np.int64), dtype=object)
-    base = lifted
-    k = e
-    while k > 0:
-        if k & 1:
-            result = result @ base
-        base = base @ base
-        k >>= 1
-    return int(np.trace(result))
+def _power_traces(mats: np.ndarray, e: int, modulus: int) -> np.ndarray:
+    """tr(A^e) mod modulus for each matrix A of a stack of nonnegative
+    integer matrices, by squaring mod modulus.
+
+    A product of two reduced n x n matrices has partial sums below
+    n * (modulus - 1)^2.  Under gf's exactness bounds the powers run on
+    float64 BLAS or on int64; above them, on Python ints.
+    """
+    bound = mats.shape[-1] * (modulus - 1) ** 2
+    if bound < _FLOAT_EXACT:
+        dtype = np.float64
+    elif bound < _INT64_SAFE:
+        dtype = np.int64
+    else:
+        dtype = object
+    base = mats.astype(dtype) % modulus
+    power = None
+    while True:
+        if e & 1:
+            power = base if power is None else np.matmul(power, base) % modulus
+        e >>= 1
+        if not e:
+            break
+        base = np.matmul(base, base) % modulus
+    traces = np.trace(power, axis1=-2, axis2=-1)
+    return np.array([int(t) % modulus for t in traces.ravel()], dtype=object).reshape(traces.shape)
 
 
 def algebra_radical(mats: list[np.ndarray], field: GF) -> list[np.ndarray]:
@@ -891,8 +966,11 @@ def algebra_radical(mats: list[np.ndarray], field: GF) -> list[np.ndarray]:
 
     Input is a basis of the algebra (closed under products, containing
     the identity).  Uses the characteristic-p chain of trace conditions
-    tr(lift(z)^(p^k)) / p^k mod p for p^k up to the matrix size; the
-    result is verified to be a nil ideal before returning.
+    tr(lift(z)^(p^k)) / p^k mod p for p^k up to the matrix size
+    (Cohen, Ivanyos and Wales, J. Pure Appl. Algebra, 1997).  A trace t
+    enters only through t mod p^k and (t // p^k) mod p, so it is taken
+    mod p^(k+1).  The result is verified to be a nil ideal before
+    returning.
     """
     if field.k != 1:
         raise Undecided("radical computation implemented over prime fields only")
@@ -905,16 +983,18 @@ def algebra_radical(mats: list[np.ndarray], field: GF) -> list[np.ndarray]:
     while p**k <= n:
         if not current:
             break
-        gram = field.zeros(len(current) ** 2, len(current))
-        row = 0
-        for y in current:
-            for i, x in enumerate(current):
-                t = _integer_power_trace(field.matmul(x, y), p**k)
-                if t % p**k != 0:
-                    raise CertificateError("trace lift divisibility failed")
-                gram[row, i] = (t // p**k) % p
-            row += 1
-        combos = field.nullspace(gram[:row])
+        # traces[j, i] from x_i x_j, in stacked products of at most about
+        # _RADICAL_STACK entries
+        stack = np.stack(current)
+        step = max(1, _RADICAL_STACK // stack.size)
+        traces = np.concatenate([
+            _power_traces(field.matmul(stack[None], stack[j : j + step, None]), p**k, p ** (k + 1))
+            for j in range(0, len(stack), step)
+        ])
+        if np.any(traces % p**k != 0):
+            raise CertificateError("trace lift divisibility failed")
+        gram = (traces // p**k % p).astype(np.int64)
+        combos = field.nullspace(gram)
         nxt = []
         for c in range(combos.shape[1]):
             z = field.zeros(n, n)

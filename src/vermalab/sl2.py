@@ -89,11 +89,13 @@ class Sl2Schema:
     def check(self, mod: FpModule) -> None:
         """Check the relation set that closes over this label set.
 
-        The relations with h are read off its diagonal when h is diagonal
-        (the torus weights of a graded module), and multiplied out
-        otherwise.  A field or label mismatch raises SchemaMismatch, and
-        a failed relation raises CertificateError naming it; unlike
-        assert, python -O strips neither.
+        When h is diagonal (the torus weights of a graded module), the
+        relations with h are read off its diagonal, and the products of
+        the operators that pass their weight relation are taken on weight
+        blocks (see _graded_relations).  Every other relation is multiplied
+        out densely.  A field or label mismatch raises SchemaMismatch, and
+        a failed relation raises CertificateError naming the first one in
+        the table; unlike assert, python -O strips neither.
         """
         f = mod.field
         if f.p != self.p or f.k != 1:
@@ -101,52 +103,142 @@ class Sl2Schema:
         if set(mod.labels) != set(self.labels):
             raise SchemaMismatch(f"labels {sorted(mod.labels)} are not {sorted(self.labels)}")
         p = self.p
-        e, fm, h = mod.ops["e"], mod.ops["f"], mod.ops["h"]
+        ops = mod.ops
+        h = ops["h"]
+        # the h-weight c of every operator X besides h: [h, X] = cX
+        weights = {"e": 2, "f": p - 2}
+        pairs = [("e", "f")]
+        if self.r == 2:
+            weights.update(e_p=0, f_p=0)
+            pairs += [("e", "e_p"), ("f", "f_p")]
 
-        def bracket(a, b):
-            return f.sub(f.matmul(a, b), f.matmul(b, a))
-
-        if "h" in mod._diagonals:
-            # with h = diag(d), [h, X] has entries (d_i - d_j) X_ij and h^p
-            # is diag(d^p); each distinct weight is raised to the p-th power
-            # mod p on its own, since d**p overflows int64 from p = 19 on
-            d = mod._diagonals["h"]
-            gaps = d[:, None] - d[None, :]
-
-            def hbracket(x):
-                return f.normalize(gaps * x)
-
-            weights, at = np.unique(d, return_inverse=True)
-            hpow = np.diag(np.array([pow(int(c), p, p) for c in weights], dtype=np.int64)[at])
+        d = mod._diagonals.get("h")
+        if d is None:
+            weighted = {
+                x: np.array_equal(_bracket(f, h, ops[x]), f.mul(ops[x], c))
+                for x, c in weights.items()
+            }
+            restricted = np.array_equal(f.matpow(h, p), h)
+            holds = {}
         else:
+            # with h = diag(d), [h, X] has entries (d_i - d_j) X_ij, so
+            # [h, X] = cX says that X vanishes wherever d_i - d_j != c; and
+            # h^p = h holds entrywise by Fermat's little theorem
+            gaps = (d[:, None] - d[None, :]) % p
+            weighted = {x: not np.any(ops[x][gaps != c]) for x, c in weights.items()}
+            restricted = True
+            graded = {x: ops[x] for x in weights if weighted[x]}
+            holds = _graded_relations(f, d, graded, weights, pairs, h) if graded else {}
+        # what the weight blocks could not decide is multiplied out densely
+        for x, y in pairs:
+            if (x, y) not in holds:
+                bracket = _bracket(f, ops[x], ops[y])
+                if (x, y) == ("e", "f"):
+                    bracket = f.sub(bracket, h)
+                holds[x, y] = not np.any(bracket)
+        for x in weights:
+            if x not in holds:
+                holds[x] = not np.any(f.matpow(ops[x], p))
 
-            def hbracket(x):
-                return bracket(h, x)
-
-            hpow = f.matpow(h, p)
-
-        zero = f.zeros(mod.dim, mod.dim)
         relations = [
-            ("[e, f] = h", bracket(e, fm), h),
-            ("[h, e] = 2e", hbracket(e), f.mul(e, 2)),
-            ("[h, f] = -2f", hbracket(fm), f.mul(fm, f.normalize(-2))),
-            ("e^p = 0", f.matpow(e, p), zero),
-            ("f^p = 0", f.matpow(fm, p), zero),
-            ("h^p = h", hpow, h),
+            ("[e, f] = h", holds["e", "f"]),
+            ("[h, e] = 2e", weighted["e"]),
+            ("[h, f] = -2f", weighted["f"]),
+            ("e^p = 0", holds["e"]),
+            ("f^p = 0", holds["f"]),
+            ("h^p = h", restricted),
         ]
         if self.r == 2:
-            ep, fp = mod.ops["e_p"], mod.ops["f_p"]
             relations += [
-                ("[h, e_p] = 0", hbracket(ep), zero),
-                ("[h, f_p] = 0", hbracket(fp), zero),
-                ("[e, e_p] = 0", bracket(e, ep), zero),
-                ("[f, f_p] = 0", bracket(fm, fp), zero),
-                ("e_p^p = 0", f.matpow(ep, p), zero),
-                ("f_p^p = 0", f.matpow(fp, p), zero),
+                ("[h, e_p] = 0", weighted["e_p"]),
+                ("[h, f_p] = 0", weighted["f_p"]),
+                ("[e, e_p] = 0", holds["e", "e_p"]),
+                ("[f, f_p] = 0", holds["f", "f_p"]),
+                ("e_p^p = 0", holds["e_p"]),
+                ("f_p^p = 0", holds["f_p"]),
             ]
-        for name, got, want in relations:
-            if not np.array_equal(got, want):
+        for name, ok in relations:
+            if not ok:
                 raise CertificateError(f"relation {name} fails at p = {p}, r = {self.r}")
+
+
+def _bracket(f: GF, a, b):
+    return f.sub(f.matmul(a, b), f.matmul(b, a))
+
+
+def _graded_relations(f: GF, d, ops, weights, pairs, h) -> dict:
+    """Whether the brackets of `pairs` and the p-th powers of `ops` hold, on weight blocks.
+
+    Every operator X in ops passed its weight relation for h = diag(d),
+    so X maps weight class a to class a + c for its weight c, and block
+    a of X is X on the rows of class a + c and the columns of class a.
+    Then (XY)[a] = X[a + c_Y] Y[a], so each bracket and each squaring is
+    a product of blocks.  With each class padded to the size s of the
+    largest, the blocks of all operators form one stack of shape
+    (len(ops), p, s, s), and the whole table takes one stacked product
+    per squaring.  Returns {(x, y): [X, Y] = h or 0, x: X^p = 0} for the
+    pairs with both operators in ops and every x in ops; empty when the
+    weights crowd into so few classes that the blocks would not save work.
+    """
+    p = f.p
+    dim = len(d)
+    counts = np.bincount(d, minlength=p)
+    s = int(counts.max())
+    if p * s**3 >= dim**3:
+        return {}
+    labels = list(ops)
+    at = {x: i for i, x in enumerate(labels)}
+    # basis index of the j-th vector of class a; the slots past the end
+    # of a class repeat an index, and the mask `real` zeroes them
+    order = np.argsort(d, kind="stable")
+    slot = np.arange(s)
+    starts = np.cumsum(counts) - counts
+    idx = order[np.minimum(starts[:, None] + slot, dim - 1)]
+    real = slot < counts[:, None]
+    classes = np.arange(p)
+
+    def gather(x, c):
+        # the p blocks of X, of weight c: rows of class a + c, columns of class a
+        rows = (classes + c) % p
+        mask = real[rows][:, :, None] & real[:, None, :]
+        return x[idx[rows][:, :, None], idx[:, None, :]] * mask
+
+    blocks = np.stack([gather(ops[x], weights[x]) for x in labels])
+    hblocks = gather(h, 0)
+    c = np.array([weights[x] for x in labels])
+
+    def product(left, right, shift):
+        # blocks of XY from those of X and of Y, for Y of weight shift
+        return f.matmul(left[np.arange(len(left))[:, None], (classes + shift[:, None]) % p], right)
+
+    # the brackets go with the first squaring, in one product; p is odd,
+    # so the power X^p starts from X itself
+    pairs = [(x, y) for x, y in pairs if x in at and y in at]
+    xs = [at[x] for x, _ in pairs]
+    ys = [at[y] for _, y in pairs]
+    n = len(pairs)
+    first = product(
+        np.concatenate([blocks[xs], blocks[ys], blocks]),
+        np.concatenate([blocks[ys], blocks[xs], blocks]),
+        np.concatenate([c[ys], c[xs], c]),
+    )
+    holds = {}
+    for k, (x, y) in enumerate(pairs):
+        bracket = f.sub(first[k], first[n + k])
+        if (x, y) == ("e", "f"):
+            bracket = f.sub(bracket, hblocks)
+        holds[x, y] = not np.any(bracket)
+    power, square, weight, e = blocks, first[2 * n :], 2 * c % p, p >> 1
+    while True:
+        if e & 1:
+            power = product(power, square, weight)
+        e >>= 1
+        if not e:
+            break
+        square, weight = product(square, square, weight), 2 * weight % p
+    for x in labels:
+        holds[x] = not np.any(power[at[x]])
+    return holds
 
 
 def schema_of(mod: FpModule) -> Sl2Schema:

@@ -2,11 +2,15 @@
 
 Everything here is deliberately written without the package's linear
 algebra so that agreement between the two paths means something: plain
-python ints, list-of-list matrices, and direct definitions.
+python ints, list-of-list matrices, and direct definitions.  The last
+two sections are the exceptions: random test data, and earlier, plainer
+forms of package routines that faster code replaced.
 """
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+
+import numpy as np
 
 
 # -- prime field arithmetic on list-of-list matrices ---------------------
@@ -310,3 +314,163 @@ def brute_radical(basis, p):
         if all(is_nilpotent(mat_mul(x, a, p), p) for _, a in elements):
             rad.append(coeffs)
     return rad
+
+
+def power_trace_mod(M, e, modulus):
+    """tr(M^e) mod modulus on list-of-list matrices, by repeated squaring."""
+    n = len(M)
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    base = [[x % modulus for x in row] for row in M]
+    while e > 0:
+        if e & 1:
+            result = mat_mul(result, base, modulus)
+        base = mat_mul(base, base, modulus)
+        e >>= 1
+    return sum(result[i][i] for i in range(n)) % modulus
+
+
+# -- random test data ----------------------------------------------------
+
+def random_matrix(field, rng, rows, cols):
+    """A uniformly random rows x cols matrix over the field."""
+    return rng.integers(0, field.q, size=(rows, cols), dtype=np.int64)
+
+
+# -- previous implementations, kept as references -------------------------
+#
+# Unlike the oracles above, these run on the package's own field
+# arithmetic: they are the straightforward forms that faster code in the
+# package replaced, and pin that code to the same answers.
+
+def reference_spin_up(m):
+    """The spin plan of m, computed with two echelon forms per layer and
+    one full matrix inverse (the spin-up that the one-pass reduction
+    replaced).  Returns (generators, binv) with generators a list of
+    (start, [(start, stop, new, dep, coeffs) per layer])."""
+    f = m.field
+    d = m.dim
+    labels = m.labels
+    stacked = np.vstack([m.ops[label] for label in labels])
+    basis = f.zeros(d, d)
+    size = 0
+    ech = f.zeros(0, d)
+    piv = []
+
+    def extend(cands):
+        nonlocal ech, piv
+        residues = f.sub(cands, f.matmul(cands[:, piv], ech))
+        _, new = f.rref(residues.T)
+        if new:
+            rows, new_piv = f.rref(residues[new])
+            ech = np.vstack([f.sub(ech, f.matmul(ech[:, new_piv], rows)), rows])
+            piv = piv + new_piv
+        return new
+
+    grown = []
+    for start in range(d):
+        if size == d:
+            break
+        unit = f.zeros(1, d)
+        unit[0, start] = 1
+        if not extend(unit):
+            continue
+        basis[start, size] = 1
+        lo, hi = size, size + 1
+        size = hi
+        layers = []
+        while lo < hi:
+            k = hi - lo
+            cands = f.matmul(stacked, basis[:, lo:hi]).reshape(len(labels), d, k)
+            cands = cands.transpose(0, 2, 1).reshape(-1, d)
+            new = extend(cands)
+            dep = np.delete(np.arange(len(cands)), new)
+            basis[:, size : size + len(new)] = cands[new].T
+            layers.append((lo, hi, np.array(new, dtype=np.intp), dep, cands[dep]))
+            lo, hi = hi, size + len(new)
+            size = hi
+        grown.append((start, layers))
+    if size != d:
+        raise ValueError(f"spin-up found {size} basis vectors in dimension {d}")
+    binv = f.inverse(basis)
+    generators = []
+    for start, layers in grown:
+        done = []
+        for lo, hi, new, dep, dep_vecs in layers:
+            top = hi + len(new)
+            coeffs = f.matmul(dep_vecs, binv.T)[:, :top]
+            if not np.array_equal(f.matmul(coeffs, basis[:, :top].T), dep_vecs):
+                raise ValueError("spin-up relation does not hold")
+            done.append((lo, hi, new, dep, coeffs))
+        generators.append((start, done))
+    return generators, binv
+
+
+def reference_sl2_failure(mod, p, r):
+    """The name of the first relation of the SL(2) Frobenius-kernel table
+    that mod fails, every product multiplied out densely, or None."""
+    f = mod.field
+    e, fm, h = mod.ops["e"], mod.ops["f"], mod.ops["h"]
+
+    def bracket(a, b):
+        return f.sub(f.matmul(a, b), f.matmul(b, a))
+
+    zero = f.zeros(mod.dim, mod.dim)
+    relations = [
+        ("[e, f] = h", bracket(e, fm), h),
+        ("[h, e] = 2e", bracket(h, e), f.mul(e, 2)),
+        ("[h, f] = -2f", bracket(h, fm), f.mul(fm, p - 2)),
+        ("e^p = 0", f.matpow(e, p), zero),
+        ("f^p = 0", f.matpow(fm, p), zero),
+        ("h^p = h", f.matpow(h, p), h),
+    ]
+    if r == 2:
+        ep, fp = mod.ops["e_p"], mod.ops["f_p"]
+        relations += [
+            ("[h, e_p] = 0", bracket(h, ep), zero),
+            ("[h, f_p] = 0", bracket(h, fp), zero),
+            ("[e, e_p] = 0", bracket(e, ep), zero),
+            ("[f, f_p] = 0", bracket(fm, fp), zero),
+            ("e_p^p = 0", f.matpow(ep, p), zero),
+            ("f_p^p = 0", f.matpow(fp, p), zero),
+        ]
+    for name, got, want in relations:
+        if not np.array_equal(got, want):
+            return name
+    return None
+
+
+def integer_power_trace(mat, e):
+    """Trace of the e-th power of the integer lift of mat, computed exactly."""
+    lifted = np.array(mat, dtype=object)
+    result = np.array(np.eye(lifted.shape[0], dtype=np.int64), dtype=object)
+    while e > 0:
+        if e & 1:
+            result = result @ lifted
+        lifted = lifted @ lifted
+        e >>= 1
+    return int(np.trace(result))
+
+
+def reference_radical_chain(mats, field):
+    """The trace-lift chain of algebra_radical with exact traces: the
+    elements z of the span whose lifts have tr(lift(z y)^(p^k)) / p^k = 0
+    mod p for every y in it, for each p^k up to the matrix size in turn."""
+    p = field.p
+    n = mats[0].shape[0]
+    current = [field.normalize(z) for z in mats]
+    k = 0
+    while p**k <= n and current:
+        gram = field.zeros(len(current), len(current))
+        for j, y in enumerate(current):
+            for i, x in enumerate(current):
+                t = integer_power_trace(field.matmul(x, y), p**k)
+                if t % p**k:
+                    raise ValueError("trace lift divisibility failed")
+                gram[j, i] = (t // p**k) % p
+        combos = field.nullspace(gram)
+        current = [
+            field.normalize(sum(int(combos[i, c]) * x for i, x in enumerate(current)))
+            for c in range(combos.shape[1])
+        ]
+        k += 1
+    return current

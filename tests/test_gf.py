@@ -30,6 +30,39 @@ def test_field_validation():
         GF(2, 2)
 
 
+LARGEST_PRIME = 3_037_000_493  # the largest prime with (p-1)^2 < 2^63
+
+
+def test_field_rejects_primes_whose_products_overflow_int64():
+    # at p = 3,037,000,507 the int64 product (p-1)(p-1) wrapped around,
+    # and mul and kron returned 290,948,287 instead of 1
+    assert (LARGEST_PRIME - 1) ** 2 < 2**63 <= (3_037_000_507 - 1) ** 2
+    with pytest.raises(ValueError, match="2\\^63"):
+        GF(3_037_000_507)
+    GF(LARGEST_PRIME)
+    # over F_{p^2}, mul forms a0 b0 + c a1 b1 with c the non-residue
+    with pytest.raises(ValueError, match="2\\^63"):
+        GF(LARGEST_PRIME, 2)
+    GF(1_000_003, 2)
+
+
+def test_largest_prime_matches_the_oracles():
+    F = GF(LARGEST_PRIME)
+    p = F.p
+    top = np.array([[p - 1, p - 2], [1, p - 1]], dtype=np.int64)
+    assert np_to_lists(F.mul(top, top)) == [[x * x % p for x in row] for row in np_to_lists(top)]
+    rows = np_to_lists(top)
+    want = [[a * b % p for a in row_a for b in row_b] for row_a in rows for row_b in rows]
+    assert np_to_lists(F.kron(top, top)) == want
+    rng = np.random.default_rng(7)
+    A = rng.integers(0, p, size=(12, 24))
+    A[:, 5] = 2 * A[:, 2] % p  # a non-pivot column
+    R, pivots = F.rref(A)
+    want, want_pivots = oracles.mat_rref(np_to_lists(A), p)
+    assert pivots == want_pivots
+    assert np_to_lists(R) == want
+
+
 @given(fields, st.integers(0, 1000), st.integers(0, 1000))
 def test_scalar_field_axioms(F, a, b):
     a, b = a % F.q, b % F.q
@@ -66,8 +99,8 @@ def test_matmul_matches_oracle(F, n, m, data):
         # oracle only covers the prime field
         F = GF(F.p)
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
-    A = F.random_matrix(rng, n, m)
-    B = F.random_matrix(rng, m, n)
+    A = oracles.random_matrix(F, rng, n, m)
+    B = oracles.random_matrix(F, rng, m, n)
     got = F.matmul(A, B)
     want = oracles.mat_mul(np_to_lists(A), np_to_lists(B), F.p)
     assert np_to_lists(got) == want
@@ -77,7 +110,7 @@ def test_matmul_matches_oracle(F, n, m, data):
 @given(fields, st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
 def test_rref_idempotent_and_rank(F, n, m, seed):
     rng = np.random.default_rng(seed)
-    A = F.random_matrix(rng, n, m)
+    A = oracles.random_matrix(F, rng, n, m)
     R, pivots = F.rref(A)
     R2, pivots2 = F.rref(R)
     assert np.array_equal(R, R2)
@@ -105,7 +138,7 @@ def test_rref_dense_large_matches_oracle():
 @given(fields, st.integers(1, 7), st.integers(1, 7), st.integers(0, 10**6))
 def test_nullspace_annihilates(F, n, m, seed):
     rng = np.random.default_rng(seed)
-    A = F.random_matrix(rng, n, m)
+    A = oracles.random_matrix(F, rng, n, m)
     N = F.nullspace(A)
     assert N.shape[0] == m
     assert N.shape[1] == m - F.rank(A)
@@ -118,7 +151,7 @@ def test_nullspace_annihilates(F, n, m, seed):
 @given(fields, st.integers(1, 6), st.integers(0, 10**6))
 def test_inverse_roundtrip(F, n, seed):
     rng = np.random.default_rng(seed)
-    A = F.random_matrix(rng, n, n)
+    A = oracles.random_matrix(F, rng, n, n)
     if not F.is_invertible(A):
         return
     X = F.inverse(A)
@@ -130,8 +163,8 @@ def test_inverse_roundtrip(F, n, seed):
 @given(fields, st.integers(1, 5), st.integers(1, 5), st.integers(1, 3), st.integers(0, 10**6))
 def test_solve_recovers_known_solution(F, n, m, t, seed):
     rng = np.random.default_rng(seed)
-    A = F.random_matrix(rng, n, m)
-    X = F.random_matrix(rng, m, t)
+    A = oracles.random_matrix(F, rng, n, m)
+    X = oracles.random_matrix(F, rng, m, t)
     B = F.matmul(A, X)
     Y = F.solve(A, B)
     assert np.array_equal(F.matmul(A, Y), B)
@@ -189,8 +222,8 @@ def test_matmul_above_the_blas_crossover_matches_oracle(F):
     rng = np.random.default_rng(F.q)
     for rows, inner, cols in ((30, 25, 20), (64, 64, 3)):
         assert rows * inner * cols >= gf._BLAS_MIN_MACS
-        A = F.random_matrix(rng, rows, inner)
-        B = F.random_matrix(rng, inner, cols)
+        A = oracles.random_matrix(F, rng, rows, inner)
+        B = oracles.random_matrix(F, rng, inner, cols)
         assert np_to_lists(F.matmul(A, B)) == oracle_product(F, A, B)
     # stacked operands, as hom_space multiplies them
     A = rng.integers(0, F.q, size=(3, 1, 12, 12))
@@ -240,7 +273,7 @@ def test_matmul_with_the_int64_minimum(p, size):
 
 @pytest.mark.parametrize("F", [GF(3), GF(5), GF(7), GF(3, 2)], ids=str)
 def test_matpow_matches_repeated_products(F):
-    A = F.random_matrix(np.random.default_rng(F.q), 5, 5)
+    A = oracles.random_matrix(F, np.random.default_rng(F.q), 5, 5)
     p = F.p
     want = np_to_lists(F.identity(5))
     powers = {}

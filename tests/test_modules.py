@@ -11,10 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vermalab
-from oracles import brute_radical, intertwiner_basis
+from oracles import (
+    brute_radical,
+    integer_power_trace,
+    intertwiner_basis,
+    power_trace_mod,
+    random_matrix,
+    reference_radical_chain,
+    reference_spin_up,
+)
 from vermalab.gf import GF
 from vermalab.modules import (
     CertificateError,
+    _power_traces,
+    _SpanBasis,
+    _spin_up,
     FpModule,
     MissingProjective,
     ModuleLibrary,
@@ -84,7 +95,7 @@ def conjugate(mod, seed):
     f = mod.field
     rng = np.random.default_rng(seed)
     while True:
-        g = f.random_matrix(rng, mod.dim, mod.dim)
+        g = random_matrix(f, rng, mod.dim, mod.dim)
         if f.is_invertible(g):
             break
     ginv = f.inverse(g)
@@ -193,6 +204,67 @@ def jordan_f9(*sizes):
     return FpModule(GF(3, 2), sum(sizes), {"t": jordan(3, *sizes).ops["t"]})
 
 
+def spin_corpus():
+    """Modules whose spin plans are pinned to the reference spin-up."""
+    mods = []
+    for p in (3, 5, 7):
+        for r, build in ((1, build_verma_r1), (2, build_verma_r2)):
+            schema = Sl2Schema(p, r)
+            mods += [build(schema, lam) for lam in range(p**r)]
+    for p in (3, 5):
+        for r in (1, 2):
+            lib = library(p, r)
+            mods += [*lib.simples.values(), *lib.projectives.values()]
+    mods += [jordan_f9(3), jordan_f9(1, 2)]
+    mods += [conjugate(jordan_f9(2, 2), 5), conjugate(jordan_f9(1, 1, 2), 9)]
+    schema = Sl2Schema(3, 1)
+    mods += [
+        conjugate(build_verma_r1(schema, 1), 4),
+        conjugate(restricted_projectives(3)["L0"], 3),
+        conjugate(direct_sum([build_verma_r1(schema, 0), restricted_simples(3)["L1"]]), 8),
+    ]
+    return mods
+
+
+def test_spin_plans_match_the_reference_spin_up():
+    # one reduction pass per layer finds the same generators, layers,
+    # relations and inverse as two echelon forms per layer and an inverse
+    mods = spin_corpus()
+    assert any(m.field.k == 2 for m in mods)
+    assert any("h" in m.ops and "h" not in m._diagonals for m in mods)
+    for m in mods:
+        plan = _spin_up(m)
+        generators, binv = reference_spin_up(m)
+        assert np.array_equal(plan.binv, binv)
+        assert [start for start, _ in plan.generators] == [start for start, _ in generators]
+        for (_, layers), (_, want) in zip(plan.generators, generators):
+            got = [(l.start, l.stop, l.new, l.dep, l.coeffs) for l in layers]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a[:2] == b[:2]
+                for x, y in zip(a[2:], b[2:]):
+                    assert x.shape == y.shape and np.array_equal(x, y)
+
+
+def test_spin_up_refuses_a_corrupted_relation(monkeypatch):
+    # the first layer's candidates are hidden from the reduction once, so
+    # f v_0 is recorded as dependent on v_0 alone; the later generators
+    # still complete the basis, and only the relation check can refuse
+    true_extend = _SpanBasis.extend
+    hidden = []
+
+    def hide_first_layer(self, cands):
+        if len(cands) > 1 and not hidden:
+            hidden.append(cands)
+            cands = np.zeros_like(cands)
+        return true_extend(self, cands)
+
+    monkeypatch.setattr(_SpanBasis, "extend", hide_first_layer)
+    with pytest.raises(CertificateError, match="spin-up relation does not hold"):
+        _spin_up(build_verma_r1(Sl2Schema(3, 1), 0))
+    assert hidden
+
+
 def hom_digest_corpus():
     """Module pairs whose hom-space bases are pinned bit for bit."""
     pairs = []
@@ -294,38 +366,38 @@ def test_memo_hands_out_read_only_arrays_in_fresh_lists(monkeypatch):
 
 
 CORRUPTED_INVERSE = """
-from vermalab.gf import GF
-from vermalab.modules import CertificateError, hom_space
+from vermalab.modules import CertificateError, _SpanBasis, hom_space
 from vermalab.sl2 import Sl2Schema, build_verma_r1
 
 assert not __debug__
-true_inverse = GF.inverse
+true_inverse = _SpanBasis.inverse
 
 
-def corrupted(self, a):
-    x = true_inverse(self, a).copy()
-    x[0, 0] = self.add(x[0, 0], 1)
+def corrupted(self):
+    x = true_inverse(self)
+    x[0, 0] = self.f.add(x[0, 0], 1)
     return x
 
 
-GF.inverse = corrupted
+_SpanBasis.inverse = corrupted
 z = build_verma_r1(Sl2Schema(3, 1), 0)
 try:
     hom_space(z, z)
-except CertificateError:
-    print("refused")
+except CertificateError as err:
+    print(err)
 """
 
 
 def test_hom_certificates_survive_optimized_python():
-    # python -O strips asserts; a corrupted basis inverse must still be caught
+    # python -O strips asserts; a corrupted spin-up inverse, assembled from
+    # the reduced basis, must still be refused by the basis * binv = I check
     env = {**os.environ, "PYTHONPATH": str(Path(vermalab.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-O", "-c", CORRUPTED_INVERSE],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "refused"
+    assert out.stdout.strip() == "spin-up basis times its assembled inverse is not the identity"
 
 
 def test_module_operators_are_read_only():
@@ -681,6 +753,79 @@ def test_radical_where_trace_form_alone_fails():
     p = 3
     basis = [np.eye(p, dtype=np.int64)]
     assert algebra_radical(basis, GF(p)) == []
+
+
+def end_algebras(p):
+    """Bases of End(m) for the level-1 simples, Vermas and covers at p, and
+    for sums of covers, whose radicals are larger."""
+    schema = Sl2Schema(p, 1)
+    covers = list(restricted_projectives(p).values())
+    mods = [*restricted_simples(p).values(), *(build_verma_r1(schema, lam) for lam in range(p))]
+    mods += covers
+    mods += [direct_sum([covers[0], covers[0]])]
+    mods += [direct_sum([covers[0], covers[1], build_verma_r1(schema, 0)])]
+    return [hom_space(m, m) for m in mods]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_radical_matches_the_exact_trace_reference(p):
+    # traces taken mod p^(k+1) give the radicals of exact integer traces
+    bases = end_algebras(p)
+    sizes = []
+    for basis in bases:
+        rad = algebra_radical(basis, GF(p))
+        want = reference_radical_chain(basis, GF(p))
+        assert len(rad) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(rad, want))
+        sizes.append(len(rad))
+    # the k = 1 step runs (a matrix size reaches p), and some radicals are large
+    assert max(sizes) >= 3 and max(b[0].shape[0] for b in bases) >= p
+
+
+def test_radical_in_stacks_of_one_row(monkeypatch):
+    # a large algebra forms its products a few rows of the Gram matrix at
+    # a time; the radicals are those of one stacked product
+    bases = end_algebras(5)
+    want = [algebra_radical(basis, GF(5)) for basis in bases]
+    monkeypatch.setattr(vermalab.modules, "_RADICAL_STACK", 1)
+    for basis, rad in zip(bases, want):
+        got = algebra_radical(basis, GF(5))
+        assert len(got) == len(rad) and all(np.array_equal(a, b) for a, b in zip(got, rad))
+
+
+def test_power_traces_match_exact_traces_on_every_path():
+    # float64 BLAS, int64 and Python ints, by the size of the modulus
+    rng = np.random.default_rng(5)
+    paths = set()
+    for p, k in ((3, 1), (5, 2), (11, 1), (7919, 1), (1_000_003, 1), (2**31 - 1, 1)):
+        modulus = p ** (k + 1)
+        bound = 6 * (modulus - 1) ** 2
+        paths.add("float64" if bound < 2**53 else "int64" if bound < 2**63 else "object")
+        mats = rng.integers(0, p, size=(4, 6, 6))
+        got = _power_traces(mats, p**k, modulus)
+        for mat, t in zip(mats, got):
+            want = power_trace_mod(mat.tolist(), p**k, modulus)
+            if p**k < 100:
+                assert want == integer_power_trace(mat, p**k) % modulus
+            assert t == want
+    assert paths == {"float64", "int64", "object"}
+
+
+def test_radical_above_the_int64_bound():
+    # upper triangular 3 x 3 matrices at p = 2^31 - 1: a product of two
+    # reduced lifts can reach 3 (p-1)^2 >= 2^63, so the traces are taken
+    # over Python ints
+    p = 2**31 - 1
+    assert 3 * (p - 1) ** 2 >= 2**63
+    basis = []
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        b = np.zeros((3, 3), dtype=np.int64)
+        b[i, j] = p - 1
+        basis.append(b)
+    rad = algebra_radical(basis, GF(p))
+    want = reference_radical_chain(basis, GF(p))
+    assert len(rad) == len(want) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(rad, want))
 
 
 def test_irreducible_poly_test():

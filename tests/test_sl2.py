@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import vermalab.modules
 import vermalab.sl2
-from oracles import intertwiner_basis
+from oracles import intertwiner_basis, reference_sl2_failure
 from vermalab.gf import GF
 from vermalab.modules import (
     CertificateError,
@@ -179,12 +179,92 @@ def test_schema_check_fails_the_same_relation_on_both_paths():
 
 
 def test_schema_check_takes_weights_to_the_p_th_power_mod_p():
-    # d**p overflows int64 from p = 19 on; h^p = h must still hold
+    # h^p = h for a diagonal h at primes where d**p would overflow int64
     for p in (19, 23):
         schema = Sl2Schema(p, 1)
         mod = build_verma_r1(schema, 3)
         assert "h" in mod._diagonals
         schema.check(mod)
+
+
+def off_weight(mod, label, weight):
+    """mod with one more entry in operator `label`, off its weight shift."""
+    f = mod.field
+    d = np.diagonal(mod.ops["h"])
+    i, j = np.argwhere((d[:, None] - d[None, :] - weight) % f.p != 0)[0]
+    x = mod.ops[label].copy()
+    x[i, j] = f.add(x[i, j], 1)
+    return FpModule(f, mod.dim, {**mod.ops, label: x})
+
+
+@pytest.mark.parametrize("p, r", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_schema_check_names_the_failure_of_the_dense_table(p, r):
+    # each operator of a Verma and of a cover, scaled by 2 or given an
+    # entry off its weight shift: the weight blocks and the dense
+    # reference table name the same first failing relation
+    schema = Sl2Schema(p, r)
+    verma = build_verma_r1(schema, 1) if r == 1 else build_verma_r2(schema, p + 1)
+    cover = max(library(p, r).projectives.values(), key=lambda m: m.dim)
+    weights = {"e": 2, "f": -2, "h": 0, "e_p": 0, "f_p": 0}
+    for mod in (verma, cover):
+        for label in schema.labels:
+            f = mod.field
+            scaled = FpModule(f, mod.dim, {**mod.ops, label: f.mul(mod.ops[label], 2)})
+            for broken in (scaled, off_weight(mod, label, weights[label])):
+                name = reference_sl2_failure(broken, p, r)
+                if name is None:
+                    schema.check(broken)
+                else:
+                    want = f"relation {name} fails at p = {p}, r = {r}"
+                    assert check_failure(schema, broken) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_weight_blocks_decide_products_as_dense_matrices_do(p):
+    # random operators homogeneous for a random grading, some sparse enough
+    # that their p-th powers vanish: every verdict matches the dense one
+    rng = np.random.default_rng(p)
+    f = GF(p)
+    weights = {"e": 2, "f": p - 2, "e_p": 0, "f_p": 0}
+    pairs = [("e", "f"), ("e", "e_p"), ("f", "f_p")]
+    seen = set()
+    for trial in range(24):
+        dim = int(rng.integers(2 * p, 5 * p))
+        d = rng.permutation(np.arange(dim) % p)
+        density = (0.02, 0.1, 0.6)[trial % 3]
+        ops = {}
+        for x, c in weights.items():
+            fits = (d[:, None] - d[None, :] - c) % p == 0
+            kept = fits & (rng.random((dim, dim)) < density)
+            ops[x] = rng.integers(1, p, size=(dim, dim)) * kept
+        h = np.diag(d)
+        holds = vermalab.sl2._graded_relations(f, d, ops, weights, pairs, h)
+        for x, y in pairs:
+            bracket = vermalab.sl2._bracket(f, ops[x], ops[y])
+            want = h if (x, y) == ("e", "f") else 0 * h
+            assert holds[x, y] == np.array_equal(bracket, want)
+        for x in weights:
+            assert holds[x] == (not np.any(f.matpow(ops[x], p)))
+            seen.add(holds[x])
+    assert seen == {False, True}
+
+
+def test_schema_check_of_a_100_dim_cover_takes_three_products(monkeypatch):
+    # all brackets and p-th powers at p = 5 on weight blocks: the brackets
+    # with the first squaring, then X^4 and X * X^4
+    schema = Sl2Schema(5, 2)
+    cover = max(library(5, 2).projectives.values(), key=lambda m: m.dim)
+    assert cover.dim == 100
+    calls = []
+    true_matmul = GF.matmul
+
+    def counted(self, a, b):
+        calls.append(np.shape(a))
+        return true_matmul(self, a, b)
+
+    monkeypatch.setattr(GF, "matmul", counted)
+    schema.check(cover)
+    assert len(calls) == 3
 
 
 def test_schema_of_rejects_foreign_labels():
