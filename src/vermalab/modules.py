@@ -22,10 +22,12 @@ separately.  Modules are frozen and their operators read-only, so a
 digest never goes stale.  ``hom_space`` itself stays the uncached
 solver; the functions here reach it through the memo.
 
-Randomized procedures take explicit seeds and either return a
-certificate that is re-verified on the spot or raise Undecided.  A
-failed check raises CertificateError, which, unlike assert, python -O
-does not strip.
+Indecomposability is decided deterministically over a prime field,
+from the Frobenius fixed points of End(M) modulo its radical.  The
+randomized procedures, isomorphism and decomposition, take explicit
+seeds and either return a certificate that is re-verified on the spot
+or raise Undecided.  A failed check raises CertificateError, which,
+unlike assert, python -O does not strip.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf import _FLOAT_EXACT, _INT64_SAFE, GF, is_prime
+from .gf import _FLOAT_EXACT, _INT64_SAFE, GF
 
 
 class SchemaMismatch(ValueError):
@@ -61,7 +63,6 @@ class CertificateError(RuntimeError):
 # falling back to exhaustive search, and the largest search space exhausted
 _ISO_TRIES = 200
 _DECOMPOSE_TRIES = 80
-_INDECOMPOSABLE_TRIES = 60
 _EXHAUST_BOUND = 4096
 # entries of the largest stack of products algebra_radical forms at once
 _RADICAL_STACK = 2**22
@@ -889,11 +890,11 @@ def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
     """Indecomposable summands, found by repeated Fitting splitting.
 
     The basis of End(m) is tried first.  If none of it splits m and
-    End(m) modulo its radical is one-dimensional (over a prime field),
-    End(m) is local and m is returned as certified indecomposable;
-    otherwise random combinations of the basis are drawn one at a time.
-    Every returned factor is certified indecomposable; if neither a
-    splitting nor a certificate can be found, raises Undecided.
+    End(m) is local (decided over a prime field), m is returned as
+    certified indecomposable; otherwise random combinations of the basis
+    are drawn one at a time.  Every returned factor is certified
+    indecomposable; if neither a splitting nor a certificate can be
+    found, raises Undecided.
     """
     if m.dim == 0:
         return []
@@ -915,8 +916,7 @@ def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
             return parts
     # in a local End(m) every element is nilpotent or invertible, so no
     # random combination could split m
-    quot = _end_quotient(m, homs) if f.k == 1 else None
-    if quot is not None and quot.dim == 1:
+    if f.k == 1 and _end_is_local(m, homs):
         return [m]
     rng = random.Random(seed)
     for _ in range(_DECOMPOSE_TRIES):
@@ -926,9 +926,7 @@ def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
         parts = split(combo)
         if parts:
             return parts
-    if _end_is_local(quot if quot is not None else _end_quotient(m, homs), seed):
-        return [m]
-    raise Undecided("module is decomposable but no splitting endomorphism was found")
+    raise Undecided(f"no splitting endomorphism found in {_DECOMPOSE_TRIES} tries")
 
 
 # -- radical of a matrix algebra ----------------------------------------
@@ -1025,197 +1023,53 @@ def algebra_radical(mats: list[np.ndarray], field: GF) -> list[np.ndarray]:
 
 # -- indecomposability ---------------------------------------------------
 
-def _poly_mul_mod(a, b, f, p):
-    prod = np.polymul(a[::-1], b[::-1])[::-1] % p
-    return _poly_rem(prod, f, p)
+def is_indecomposable(m: FpModule) -> bool:
+    """Decide whether the endomorphism ring is local.
 
-
-def _poly_rem(a, f, p):
-    a = np.array(a, dtype=np.int64) % p
-    d = len(f) - 1
-    inv_lead = pow(int(f[-1]), p - 2, p)
-    while len(a) > d:
-        c = (a[-1] * inv_lead) % p
-        if c:
-            a[-1 - d :] = (a[-1 - d :] - c * np.array(f, dtype=np.int64)) % p
-        a = a[:-1]
-    while len(a) > 1 and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _poly_powmod_x(e: int, f, p):
-    """x^e mod f, binary powering; coefficients low to high."""
-    result = np.array([1], dtype=np.int64)
-    base = _poly_rem(np.array([0, 1], dtype=np.int64), f, p)
-    while e > 0:
-        if e & 1:
-            result = _poly_mul_mod(result, base, f, p)
-        base = _poly_mul_mod(base, base, f, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a = np.trim_zeros(np.array(a, dtype=np.int64) % p, "b")
-    b = np.trim_zeros(np.array(b, dtype=np.int64) % p, "b")
-    while len(b):
-        a, b = b, _poly_rem(a, b, p)
-        b = np.trim_zeros(b, "b")
-    return a
-
-
-def is_irreducible_poly(coeffs, p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p.
-
-    Coefficients run low to high and the polynomial must be monic.
-    """
-    f = np.array(coeffs, dtype=np.int64) % p
-    d = len(f) - 1
-    if d < 1 or f[-1] != 1:
-        raise ValueError("expected a monic polynomial of positive degree")
-    if d == 1:
-        return True
-    top = _poly_powmod_x(p**d, f, p)
-    diff = np.zeros(max(len(top), 2), dtype=np.int64)
-    diff[: len(top)] = top
-    diff[1] = (diff[1] - 1) % p
-    if np.any(diff % p):
-        return False
-    for ell in {e for e in range(2, d + 1) if d % e == 0 and is_prime(e)}:
-        sub = _poly_powmod_x(p ** (d // ell), f, p)
-        padded = np.zeros(max(len(sub), 2), dtype=np.int64)
-        padded[: len(sub)] = sub
-        padded[1] = (padded[1] - 1) % p
-        g = _poly_gcd(padded, f, p)
-        if len(g) > 1:
-            return False
-    return True
-
-
-class _QuotientAlgebra:
-    """End(M) modulo its radical, in coordinates over the End basis."""
-
-    def __init__(self, mod: FpModule, homs: list[np.ndarray], rad: list[np.ndarray]):
-        f = mod.field
-        self.f = f
-        d = len(homs)
-        flat = np.column_stack([h.reshape(-1) for h in homs])
-        rhs = np.column_stack(
-            [f.matmul(a, b).reshape(-1) for a in homs for b in homs]
-        )
-        table = f.solve(flat, rhs)
-        # solve gives shape (d, d*d) with column i*d+j holding the product
-        # E_i E_j; rearrange to tensor[i, j, c] = coordinate c of E_i E_j
-        self.table = np.moveaxis(table.reshape(d, d, d), 0, 2)
-        self.identity_coords = f.solve(flat, f.identity(mod.dim).reshape(-1))
-        if rad:
-            rad_coords = f.solve(
-                flat, np.column_stack([z.reshape(-1) for z in rad])
-            )
-            r, pivots = f.rref(rad_coords.T)
-            self.rad_rows = r[: len(pivots)]
-            self.rad_pivots = pivots
-        else:
-            self.rad_rows = f.zeros(0, d)
-            self.rad_pivots = []
-        self.d = d
-        self.free = [i for i in range(d) if i not in self.rad_pivots]
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    def reduce(self, v):
-        v = self.f.normalize(np.asarray(v, dtype=np.int64)).copy()
-        for row, piv in zip(self.rad_rows, self.rad_pivots):
-            c = int(v[piv])
-            if c:
-                v = self.f.sub(v, self.f.mul(row, c))
-        return v
-
-    def mul(self, a, b):
-        out = np.tensordot(np.tensordot(a, self.table, axes=(0, 0)), b, axes=(0, 0))
-        return self.reduce(self.f.normalize(out))
-
-    def is_commutative(self) -> bool:
-        for i in self.free:
-            for j in self.free:
-                ei = self.f.zeros(self.d, 1)[:, 0]
-                ei[i] = 1
-                ej = self.f.zeros(self.d, 1)[:, 0]
-                ej[j] = 1
-                if not np.array_equal(self.mul(ei, ej), self.mul(ej, ei)):
-                    return False
-        return True
-
-    def min_poly(self, v):
-        """Monic minimal polynomial of v, coefficients low to high."""
-        f = self.f
-        powers = [self.reduce(self.identity_coords)]
-        krylov = powers[0][:, None]
-        while True:
-            nxt = self.mul(powers[-1], v)
-            try:
-                c = f.solve(krylov, nxt)
-                coeffs = np.concatenate([f.neg(c), np.array([1], dtype=np.int64)])
-                return coeffs
-            except ValueError:
-                powers.append(nxt)
-                krylov = np.hstack([krylov, nxt[:, None]])
-
-
-def is_indecomposable(m: FpModule, seed: int = 0) -> bool:
-    """Certify that the endomorphism ring is local, or that it is not.
-
-    Local means the quotient by the radical is a field: decided by a
-    commutativity check plus a search for an element whose minimal
-    polynomial is irreducible of full degree.  Noncommutative
-    quotients are never division rings over a finite field, so they
-    certify decomposability immediately.
+    Local means the quotient by the radical is a field; see _end_is_local.
+    Over a prime field the answer is exact; over F_{p^2} the radical is
+    not computed and Undecided is raised unless End(m) is one-dimensional.
     """
     if m.dim == 0:
         raise ValueError("the zero module has no meaningful answer here")
     homs = _hom(m, m)
-    return len(homs) == 1 or _end_is_local(_end_quotient(m, homs), seed)
+    return len(homs) == 1 or _end_is_local(m, homs)
 
 
-def _end_quotient(m: FpModule, homs: list[np.ndarray]) -> _QuotientAlgebra:
-    """End(m) modulo its radical, given a basis of End(m)."""
-    return _QuotientAlgebra(m, homs, algebra_radical(homs, m.field))
+def _end_is_local(m: FpModule, homs: list[np.ndarray]) -> bool:
+    """Whether End(m), given by a basis, is local, over a prime field.
 
-
-def _end_is_local(quot: _QuotientAlgebra, seed: int) -> bool:
-    """Whether End(m) is local, given End(m) modulo its radical."""
-    f = quot.f
-    if quot.dim == 1:
+    A finite division ring is a field (Wedderburn), so a noncommutative
+    quotient A = End(m)/rad is never one.  A commutative A is a product
+    of finite fields, on which x -> x^p is F_p-linear and fixes exactly
+    one copy of F_p per factor, so A is a field exactly when only the
+    scalars are fixed (Berlekamp, Math. Comp. 24, 1970; Ronyai,
+    J. Symbolic Comput. 9, 1990).
+    """
+    f = m.field
+    rad = algebra_radical(homs, f)
+    d = len(homs)
+    if d - len(rad) == 1:
         return True
-    if not quot.is_commutative():
+    basis = np.stack(homs)
+    flat = basis.reshape(d, -1).T
+    rad_flat = np.array(rad, dtype=np.int64).reshape(len(rad), m.dim**2)
+    rows, pivots = f.rref(f.solve(flat, rad_flat.T).T)
+    rows = rows[: len(pivots)]
+    # the images of the basis elements off the radical's pivots form a
+    # basis of A; an element's coordinates there are its coordinates over
+    # the End basis less the radical rows at their pivots
+    free = [i for i in range(d) if i not in pivots]
+    k = len(free)
+    x = basis[free]
+    products = f.matmul(x[:, None], x[None])
+    commutators = f.sub(products, products.transpose(1, 0, 2, 3)).reshape(k * k, -1)
+    powers = np.stack([f.matpow(y, f.p) for y in x]).reshape(k, -1)
+    coords = f.solve(flat, np.concatenate([commutators, powers]).T)
+    images = f.sub(coords[free], f.matmul(rows[:, free].T, coords[pivots]))
+    if np.any(images[:, : k * k]):
         return False
-    rng = random.Random(seed)
-    target = quot.dim
-
-    def qualifies(v):
-        poly = quot.min_poly(v)
-        return len(poly) - 1 == target and is_irreducible_poly(poly, f.p)
-
-    for _ in range(_INDECOMPOSABLE_TRIES):
-        v = f.zeros(quot.d, 1)[:, 0]
-        for i in quot.free:
-            v[i] = rng.randrange(f.q)
-        if qualifies(quot.reduce(v)):
-            return True
-    if f.q**target <= _EXHAUST_BOUND:
-        for coeffs in itertools.product(range(f.q), repeat=target):
-            v = f.zeros(quot.d, 1)[:, 0]
-            for i, c in zip(quot.free, coeffs):
-                v[i] = c
-            if qualifies(quot.reduce(v)):
-                return True
-        return False
-    raise Undecided(
-        "no field generator found and the quotient algebra is too large to exhaust"
-    )
+    return f.nullspace(f.sub(images[:, k * k :], f.identity(k))).shape[1] == 1
 
 
 # -- eigenvalue bookkeeping ---------------------------------------------

@@ -14,6 +14,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .gf import is_prime
+
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -309,7 +311,9 @@ def dot_action(rs: RootSystem, w, lam: Weight):
 
 
 def psi_set(rs: RootSystem, lam: Weight, p: int, r: int) -> tuple[int, ...]:
-    """Indices of positive roots alpha with p^r | <lam + rho, alpha_v>."""
+    """Indices of positive roots alpha with p^r | <lam + rho, alpha_v>, p prime."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     if r < 0:
         raise ValueError("r must be >= 0")
     shifted = add_weights(lam, rs.rho)

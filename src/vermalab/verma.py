@@ -13,7 +13,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import is_prime
+from .gf import _INT64_SAFE, is_prime
 from .modules import CertificateError
 from .rootsys import (
     CartanSpec,
@@ -57,8 +57,10 @@ def depth(rs: RootSystem, lam: Weight, p: int) -> int | float:
 
     Equals 1 + min p-adic valuation over the nonzero pairings, and
     NEG_INFINITY when every pairing vanishes (then divisibility holds
-    for all s).
+    for all s).  Raises ValueError unless p is prime.
     """
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     shifted = add_weights(lam, rs.rho)
     pairings = [pairing(rs, shifted, root) for root in rs.positive_roots]
     nonzero = [abs(a) for a in pairings if a != 0]
@@ -212,10 +214,6 @@ def _translation_lattice(spec: CartanSpec, dep: int | float, p: int, r: int) -> 
     return _Lattice(tuple(diag), tuple(tuple(row) for row in u))
 
 
-# int64 holds every intermediate whose absolute value stays below this
-_INT64_SAFE = 2**62
-
-
 def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -> bool:
     """Is gamma in the block of lam at level r?
 
@@ -225,7 +223,7 @@ def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -
     Every w . lam comes from one product with the stacked Weyl group,
     and one product with the lattice's U decides all of them.  The
     products run in int64 when a bound on every intermediate is below
-    2^62, and on exact Python ints otherwise.
+    2^63, and on exact Python ints otherwise.
     """
     lattice = translation_lattice(rs, depth(rs, lam, p), p, r)
     n = rs.rank

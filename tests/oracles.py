@@ -316,6 +316,22 @@ def brute_radical(basis, p):
     return rad
 
 
+def has_nontrivial_idempotent(homs, p):
+    """Whether the span of `homs` over F_p (a unital algebra of square
+    matrices) holds an idempotent other than 0 and 1.
+
+    Enumerates all p^len(homs) elements, squared in one stacked int64
+    product; the entries stay far below 2^63 at the sizes used here.
+    """
+    basis = np.array([np.asarray(h, dtype=np.int64) % p for h in homs])
+    coeffs = np.array(list(product(range(p), repeat=len(basis))), dtype=np.int64)
+    elements = np.einsum("ed,dij->eij", coeffs, basis) % p
+    idempotent = (np.matmul(elements, elements) % p == elements).all(axis=(1, 2))
+    zero = ~elements.any(axis=(1, 2))
+    one = (elements == np.eye(basis.shape[1], dtype=np.int64)).all(axis=(1, 2))
+    return bool((idempotent & ~zero & ~one).any())
+
+
 def power_trace_mod(M, e, modulus):
     """tr(M^e) mod modulus on list-of-list matrices, by repeated squaring."""
     n = len(M)

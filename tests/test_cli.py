@@ -1,8 +1,13 @@
 """CLI round trips, exit codes, and golden-file byte comparisons."""
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import vermalab
 from vermalab.cli import build_parser, main
 from vermalab.modules import parse_text
 from vermalab.sl2 import Sl2Schema
@@ -203,6 +208,44 @@ def test_input_errors_exit_two(capsys):
     assert code == 2
     code, out = run(capsys, ["verify-heisenberg", "--r", "2", "--qs", "3,8"])
     assert code == 2
+
+
+WEIGHT_VERBS = {
+    "depth": ["--weight", "3"],
+    "regular": ["--r", "1", "--weight", "3"],
+    "psi": ["--r", "1", "--weight", "3"],
+    "block": ["--r", "1", "--weight", "3", "--gamma", "1"],
+    "reduce": ["--r", "2", "--weight", "8"],
+}
+
+
+# runs one verb at each p of BAD_PRIMES, printing [exit code, JSON output] per call
+BAD_PRIME_SCRIPT = """
+import contextlib, io, json, sys
+from vermalab.cli import main
+results = []
+for p in sys.argv[1].split(","):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([sys.argv[2], "--type", "A1", "--p", p, *sys.argv[3:], "--json"])
+    results.append([code, json.loads(out.getvalue())])
+print(json.dumps(results))
+"""
+BAD_PRIMES = (1, 0, -1, 4)
+
+
+@pytest.mark.parametrize("verb", sorted(WEIGHT_VERBS))
+def test_weight_verbs_reject_a_p_that_is_not_prime(verb):
+    # at p = 1 or -1 the p-adic valuation never ends, so the calls run in
+    # a subprocess whose timeout turns a hang into a failure
+    env = {**os.environ, "PYTHONPATH": str(Path(vermalab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", BAD_PRIME_SCRIPT, ",".join(map(str, BAD_PRIMES)), verb,
+         *WEIGHT_VERBS[verb]],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[2, {"error": f"p = {p} is not prime"}] for p in BAD_PRIMES]
 
 
 def test_verification_failure_exits_one(capsys):

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import vermalab
 from oracles import (
     brute_radical,
+    has_nontrivial_idempotent,
     integer_power_trace,
     intertwiner_basis,
     power_trace_mod,
@@ -41,7 +43,6 @@ from vermalab.modules import (
     fitting_split,
     hom_space,
     is_indecomposable,
-    is_irreducible_poly,
     is_isomorphic,
     is_projective_module,
     parse_text,
@@ -696,6 +697,67 @@ def test_mixed_blocks_decomposable():
     assert not is_indecomposable(jordan(5, 2, 3))
 
 
+def companion(p, degree):
+    """Companion matrix of the first monic polynomial of the degree
+    (2 or 3) with no root mod p, so irreducible: End is F_{p^degree}."""
+    for low in product(range(p), repeat=degree):
+        if all((x**degree + sum(c * x**i for i, c in enumerate(low))) % p for x in range(p)):
+            mat = np.zeros((degree, degree), dtype=np.int64)
+            mat[1:, :-1] = np.eye(degree - 1, dtype=np.int64)
+            mat[:, -1] = [-c % p for c in low]
+            return mat
+    raise ValueError(f"no irreducible polynomial of degree {degree} mod {p}")
+
+
+def locality_family():
+    """(module, its End(m)/rad or kind) for the oracle comparison."""
+    mods = []
+    for p in (2, 3, 5):
+        f = GF(p)
+        for n in range(1, 4):
+            for sizes in combinations_with_replacement(range(1, p + 1), n):
+                mods.append((jordan(p, *sizes), f"Jordan {sizes} at p={p}"))
+        fields = []
+        for degree in (2, 3):
+            c = companion(p, degree)
+            name = f"F_p^{degree}"
+            one = FpModule(f, degree, {"s": c})
+            fields.append(one)
+            glued = np.block([[c, np.eye(degree, dtype=np.int64)], [np.zeros_like(c), c]])
+            mods.append((one, name))
+            mods.append((direct_sum([one, one]), f"M_2({name})"))
+            mods.append((FpModule(f, 2 * degree, {"s": glued}), f"{name}[t]/t^2"))
+        mods.append((direct_sum(fields), "F_p^2 x F_p^3"))
+    for p in (3, 5):
+        lib = library(p, 1)
+        vermas = [build_verma_r1(Sl2Schema(p, 1), lam) for lam in range(p)]
+        mods += [(s, f"simple at p={p}") for s in lib.simples.values()]
+        mods += [(c, f"cover at p={p}") for c in lib.projectives.values()]
+        mods += [(z, f"Verma at p={p}") for z in vermas]
+        mods += [(direct_sum([z, z]), f"doubled Verma at p={p}") for z in vermas]
+    return mods
+
+
+def test_indecomposable_agrees_with_idempotent_oracle():
+    # End(m) is local exactly when it has no idempotent but 0 and 1;
+    # the oracle enumerates End(m) wherever q^dim End(m) <= 5^6
+    checked = {}
+    for m, name in locality_family():
+        homs = hom_space(m, m)
+        if m.field.q ** len(homs) > 5**6:
+            continue
+        local = is_indecomposable(m)
+        assert local == (not has_nontrivial_idempotent(homs, m.field.p)), name
+        checked.setdefault(name, set()).add(local)
+    # a field of degree 3 is local; a product of two fields is
+    # commutative and not local
+    assert checked["F_p^3"] == {True}
+    assert checked["F_p^2 x F_p^3"] == {False}
+    assert checked["M_2(F_p^2)"] == {False}
+    assert checked["F_p^3[t]/t^2"] == {True}
+    assert len(checked) >= 20
+
+
 # -- algebra radical -----------------------------------------------------
 
 def upper_triangular_basis():
@@ -826,16 +888,6 @@ def test_radical_above_the_int64_bound():
     want = reference_radical_chain(basis, GF(p))
     assert len(rad) == len(want) == 3
     assert all(np.array_equal(a, b) for a, b in zip(rad, want))
-
-
-def test_irreducible_poly_test():
-    assert is_irreducible_poly([1, 0, 1], 3)  # x^2 + 1 has no root mod 3
-    assert is_irreducible_poly([1, 1], 3)  # linear
-    assert not is_irreducible_poly([0, 0, 1], 3)  # x^2
-    assert not is_irreducible_poly([2, 0, 1], 3)  # x^2 + 2 = (x+1)(x+2)
-    assert not is_irreducible_poly([2, 3, 1], 5)  # (x+1)(x+2)
-    assert is_irreducible_poly([1, 1, 0, 0, 1], 2)  # x^4 + x + 1
-    assert not is_irreducible_poly([1, 1, 1, 1, 1, 1], 2)  # divisible by x^2+x+1
 
 
 # -- eigenvalues, serialization, misc -----------------------------------

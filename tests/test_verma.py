@@ -410,7 +410,7 @@ def test_block_contains_matches_weyl_walk_at_uneven_smith_diagonal(name, rounds)
 
 @pytest.mark.parametrize("name", list(BLOCK_TYPES))
 def test_block_contains_exact_beyond_int64(name, monkeypatch):
-    # coordinates near 2^60: w . lam and the product with U leave int64,
+    # coordinates near 2^61: w . lam and the product with U leave int64,
     # so the decision runs on Python ints and must still agree
     import random
 
@@ -419,7 +419,7 @@ def test_block_contains_exact_beyond_int64(name, monkeypatch):
     seen = record_dtypes(monkeypatch)
     answers = []
     for p, r in ((3, 1), (5, 2), (7, 3), (11, 2)):
-        for gamma, lam in block_cases(rs, p, r, rng, base=2**60):
+        for gamma, lam in block_cases(rs, p, r, rng, base=2**61):
             want = walk_block_contains(rs, gamma, lam, p, r)
             assert block_contains(rs, gamma, lam, p, r) == want, (gamma, lam, p, r)
             answers.append(want)
@@ -431,7 +431,7 @@ def test_block_contains_int64_bound_edge(monkeypatch):
     # A1 at p = 3, r = 1 with depth(lam) = 1: the lattice is 3Z, with U = (+-1)
     # and Smith diagonal (3), so the bound is 3 * (|gamma| + |lam + 1| + 1)
     lam = (2**60,)
-    below = (2**62 - 1) // 3 - (lam[0] + 1) - 1
+    below = (2**63 - 1) // 3 - (lam[0] + 1) - 1
     seen = record_dtypes(monkeypatch)
     for gamma in ((below,), (below + 1,), (-below,), (-below - 1,)):
         want = walk_block_contains(RS2, gamma, lam, 3, 1)
