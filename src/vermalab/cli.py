@@ -73,14 +73,20 @@ def _check_rank(rs, lam) -> None:
         )
 
 
+def _root_system_and_weight(args):
+    """The root system named by --type or --cartan, and --weight checked against its rank."""
+    rs = build_root_system(_cartan_spec(args))
+    lam = _parse_weight(args.weight)
+    _check_rank(rs, lam)
+    return rs, lam
+
+
 def _depth_str(d) -> str:
     return "-inf" if d == NEG_INFINITY else str(int(d))
 
 
 def _cmd_depth(args) -> int:
-    rs = build_root_system(_cartan_spec(args))
-    lam = _parse_weight(args.weight)
-    _check_rank(rs, lam)
+    rs, lam = _root_system_and_weight(args)
     d = depth(rs, lam, args.p)
     _emit(
         args,
@@ -91,9 +97,7 @@ def _cmd_depth(args) -> int:
 
 
 def _cmd_regular(args) -> int:
-    rs = build_root_system(_cartan_spec(args))
-    lam = _parse_weight(args.weight)
-    _check_rank(rs, lam)
+    rs, lam = _root_system_and_weight(args)
     reg = is_pr_regular(rs, lam, args.p, args.r)
     _emit(
         args,
@@ -104,9 +108,7 @@ def _cmd_regular(args) -> int:
 
 
 def _cmd_psi(args) -> int:
-    rs = build_root_system(_cartan_spec(args))
-    lam = _parse_weight(args.weight)
-    _check_rank(rs, lam)
+    rs, lam = _root_system_and_weight(args)
     idx = psi_set(rs, lam, args.p, args.r)
     roots = [list(rs.positive_roots[i].coeffs) for i in idx]
     lines = [f"{i} {tuple(rs.positive_roots[i].coeffs)}" for i in idx]
@@ -121,10 +123,7 @@ def _cmd_psi(args) -> int:
 def _cmd_classify(args) -> int:
     spec = _cartan_spec(args)
     lam = _parse_weight(args.weight)
-    if len(lam) != spec.rank:
-        raise ValueError(
-            f"weight has {len(lam)} coordinates but the root system has rank {spec.rank}"
-        )
+    _check_rank(spec, lam)
     report = classify(spec, lam, args.p, args.r).to_json_dict()
     lines = [f"{k}: {json.dumps(_round_floats(v))}" for k, v in report.items()]
     _emit(args, report, "\n".join(lines))
@@ -132,9 +131,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    rs = build_root_system(_cartan_spec(args))
-    lam = _parse_weight(args.weight)
-    _check_rank(rs, lam)
+    rs, lam = _root_system_and_weight(args)
     d, mu = depth_reduce(rs, lam, args.p, args.r)
     _emit(
         args,
@@ -145,10 +142,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_block(args) -> int:
-    rs = build_root_system(_cartan_spec(args))
-    lam = _parse_weight(args.weight)
+    rs, lam = _root_system_and_weight(args)
     gamma = _parse_weight(args.gamma)
-    _check_rank(rs, lam)
     _check_rank(rs, gamma)
     inside = block_contains(rs, gamma, lam, args.p, args.r)
     _emit(
@@ -185,8 +180,7 @@ def _cmd_verify_sl2(args) -> int:
 
 def _cmd_verify_heisenberg(args) -> int:
     qs = [int(x) for x in args.qs.split(",")]
-    tol = args.tol if args.tol is not None else (0.3 if args.r >= 3 else 0.15)
-    fit = dimension_fit(args.r, qs, tol=tol)
+    fit = dimension_fit(args.r, qs, tol=args.tol)
     if args.json:
         sys.stdout.write(canon(fit.to_json_dict()))
     else:

@@ -14,7 +14,9 @@ float64 BLAS and is converted back (the delayed reduction of FFLAS:
 Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A small product stays
 on numpy's int64 loop.  When the bound would overflow the chosen kernel,
 the operands are reduced mod p first, and if even inner * (p-1)^2
-reaches 2^63 the product is taken over Python ints.
+reaches 2^63 the product is taken over Python ints.  This kernel,
+``dot_mod``, takes the modulus as an argument, so integer products mod
+a prime power run through it too.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ import numpy as np
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller absolute value
 _INT64_SAFE = 2**63
 # multiply-adds from which float64 BLAS beats the int64 loop, counting
-# the conversions and the reduction (see _dot)
+# the conversions and the reduction (see dot_mod)
 _BLAS_MIN_MACS = 8192
 
 
@@ -47,6 +49,37 @@ def smallest_nonresidue(p: int) -> int:
         if pow(c, (p - 1) // 2, p) == p - 1:
             return c
     raise ValueError(f"no quadratic non-residue mod {p}")
+
+
+def dot_mod(A, B, modulus: int):
+    """A @ B reduced mod modulus, exact for any int64 entries and any modulus below 2^63."""
+    inner = A.shape[-1]
+    if not A.size or not B.size:
+        return np.matmul(A, B) % modulus
+    # the product's multiply-adds when A and B share no stacking axes,
+    # and an overestimate when they do
+    big = A.size * B.size // inner >= _BLAS_MIN_MACS
+    # the largest entry of each operand in one reduction: read as
+    # uint64, a nonnegative entry keeps its value and a negative one
+    # (the int64 minimum too) reads as at least 2^63, which sends the
+    # operands through the reduction below
+    bound = (
+        inner
+        * int(np.maximum.reduce(A.view(np.uint64), axis=None))
+        * int(np.maximum.reduce(B.view(np.uint64), axis=None))
+    )
+    if bound >= (_FLOAT_EXACT if big else _INT64_SAFE):
+        A, B = A % modulus, B % modulus
+        bound = inner * (modulus - 1) ** 2
+    if big and bound < _FLOAT_EXACT:
+        C = np.matmul(A.astype(np.float64), B.astype(np.float64)).astype(np.int64)
+    elif bound < _INT64_SAFE:
+        C = np.matmul(A, B)
+    else:
+        C = np.matmul(A.astype(object), B.astype(object)) % modulus
+        return C.astype(np.int64)
+    C %= modulus
+    return C
 
 
 @dataclass(frozen=True)
@@ -154,47 +187,16 @@ class GF:
     def identity(self, n: int):
         return np.eye(n, dtype=np.int64)
 
-    def _dot(self, A, B):
-        """A @ B reduced mod p, exact for any int64 entries."""
-        p = self.p
-        inner = A.shape[-1]
-        if not A.size or not B.size:
-            return np.matmul(A, B) % p
-        # the product's multiply-adds when A and B share no stacking axes,
-        # and an overestimate when they do
-        big = A.size * B.size // inner >= _BLAS_MIN_MACS
-        # the largest entry of each operand in one reduction: read as
-        # uint64, a nonnegative entry keeps its value and a negative one
-        # (the int64 minimum too) reads as at least 2^63, which sends the
-        # operands through the reduction below
-        bound = (
-            inner
-            * int(np.maximum.reduce(A.view(np.uint64), axis=None))
-            * int(np.maximum.reduce(B.view(np.uint64), axis=None))
-        )
-        if bound >= (_FLOAT_EXACT if big else _INT64_SAFE):
-            A, B = A % p, B % p
-            bound = inner * (p - 1) ** 2
-        if big and bound < _FLOAT_EXACT:
-            C = np.matmul(A.astype(np.float64), B.astype(np.float64)).astype(np.int64)
-        elif bound < _INT64_SAFE:
-            C = np.matmul(A, B)
-        else:
-            C = np.matmul(A.astype(object), B.astype(object)) % p
-            return C.astype(np.int64)
-        C %= p
-        return C
-
     def matmul(self, A, B):
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if self.k == 1:
-            return self._dot(A, B)
+            return dot_mod(A, B, self.p)
         a0, a1 = self._split(A)
         b0, b1 = self._split(B)
         c = self.nonresidue
-        c0 = (self._dot(a0, b0) + c * self._dot(a1, b1)) % self.p
-        c1 = (self._dot(a0, b1) + self._dot(a1, b0)) % self.p
+        c0 = (dot_mod(a0, b0, self.p) + c * dot_mod(a1, b1, self.p)) % self.p
+        c1 = (dot_mod(a0, b1, self.p) + dot_mod(a1, b0, self.p)) % self.p
         return c0 + self.p * c1
 
     def matpow(self, A, e: int):

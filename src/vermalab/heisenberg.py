@@ -125,7 +125,17 @@ class DimensionFit:
         }
 
 
-def dimension_fit(r: int, q_list, tol: float = 0.5) -> DimensionFit:
+def dimension_fit(r: int, q_list, tol: float | None = None) -> DimensionFit:
+    """Fit the slope over the field sizes in q_list.
+
+    The slope passes within tol of 2r + 1; by default tol is 0.15, and
+    0.3 from r = 3, where only the smallest fields fit the enumeration
+    budget.  A tolerance that is negative or not finite raises ValueError.
+    """
+    if tol is None:
+        tol = 0.3 if r >= 3 else 0.15
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"tolerance {tol} must be finite and nonnegative")
     qs = sorted(set(q_list))
     if len(qs) < 2:
         raise ValueError("dimension fit needs at least two distinct field sizes")

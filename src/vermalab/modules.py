@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf import _FLOAT_EXACT, _INT64_SAFE, GF
+from .gf import GF, dot_mod
 
 
 class SchemaMismatch(ValueError):
@@ -80,6 +80,8 @@ class FpModule:
     ops: Mapping[str, np.ndarray]
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise ValueError(f"dimension {self.dim} is negative")
         fixed = {}
         for label, mat in self.ops.items():
             mat = self.field.normalize(np.asarray(mat, dtype=np.int64))
@@ -418,23 +420,41 @@ def _hom(m: FpModule, n: FpModule) -> list[np.ndarray]:
 
 # -- submodules, quotients, radical, socle ------------------------------
 
-def submodule_from_columns(m: FpModule, cols) -> tuple[FpModule, np.ndarray]:
-    """Module structure on the span of the columns; returns it with the
-    inclusion matrix.  Raises ValueError if the span is not stable."""
+def _adapted_basis(m: FpModule, cols):
+    """A basis of m adapted to the span of the columns.
+
+    Returns (full, inverse, k, ops): the first k columns of full span the
+    columns and unit vectors complete them, and ops holds every operator
+    conjugated by full.  Raises ValueError unless each is block upper
+    triangular, that is, unless the span is a submodule; the submodule is
+    then the top-left block and the quotient the bottom-right one.
+    """
     f = m.field
     cols = f.normalize(np.asarray(cols, dtype=np.int64))
     if cols.size == 0:
         cols = cols.reshape(m.dim, 0)
     basis = f.column_space_basis(cols)
     k = basis.shape[1]
+    full = f.column_space_basis(np.hstack([basis, f.identity(m.dim)]))
+    if full.shape[1] != m.dim:
+        raise CertificateError("extended basis does not span the module")
+    inverse = f.inverse(full)
     ops = {}
     for label, mat in m.ops.items():
-        moved = f.matmul(mat, basis)
-        try:
-            ops[label] = f.solve(basis, moved)
-        except ValueError:
+        moved = f.matmul(inverse, f.matmul(mat, full))
+        if np.any(moved[k:, :k]):
             raise ValueError(f"columns are not stable under operator {label}")
-    sub = FpModule(f, k, ops)
+        ops[label] = moved
+    return full, inverse, k, ops
+
+
+def submodule_from_columns(m: FpModule, cols) -> tuple[FpModule, np.ndarray]:
+    """Module structure on the span of the columns; returns it with the
+    inclusion matrix.  Raises ValueError if the span is not stable."""
+    f = m.field
+    full, _, k, ops = _adapted_basis(m, cols)
+    sub = FpModule(f, k, {label: moved[:k, :k] for label, moved in ops.items()})
+    basis = full[:, :k]
     for label in m.labels:
         if not np.array_equal(f.matmul(m.ops[label], basis), f.matmul(basis, sub.ops[label])):
             raise CertificateError(f"inclusion of the submodule fails to intertwine {label}")
@@ -447,26 +467,9 @@ def quotient_by_columns(m: FpModule, cols) -> tuple[FpModule, np.ndarray, np.nda
     Returns (quotient, projection, section) with projection @ section
     the identity of the quotient.  The span must be a submodule.
     """
-    f = m.field
-    cols = f.normalize(np.asarray(cols, dtype=np.int64))
-    if cols.size == 0:
-        cols = cols.reshape(m.dim, 0)
-    basis = f.column_space_basis(cols)
-    k = basis.shape[1]
-    full = f.column_space_basis(np.hstack([basis, f.identity(m.dim)]))
-    if full.shape[1] != m.dim:
-        raise CertificateError("extended basis does not span the module")
-    pinv = f.inverse(full)
-    ops = {}
-    for label, mat in m.ops.items():
-        moved = f.matmul(pinv, f.matmul(mat, full))
-        if k and not np.array_equal(moved[k:, :k], f.zeros(m.dim - k, k)):
-            raise ValueError(f"columns are not stable under operator {label}")
-        ops[label] = moved[k:, k:]
-    quot = FpModule(f, m.dim - k, ops)
-    projection = pinv[k:, :]
-    section = full[:, k:]
-    return quot, projection, section
+    full, inverse, k, ops = _adapted_basis(m, cols)
+    quot = FpModule(m.field, m.dim - k, {label: moved[k:, k:] for label, moved in ops.items()})
+    return quot, inverse[k:, :], full[:, k:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -569,10 +572,8 @@ def _multiplicities(homs: dict[str, list[np.ndarray]]) -> dict[str, int]:
 
 
 def _common_kernel(m: FpModule, homs: dict[str, list[np.ndarray]]) -> np.ndarray:
-    rows = [h for hs in homs.values() for h in hs]
-    if not rows:
-        return m.field.identity(m.dim)
-    return m.field.nullspace(np.vstack(rows))
+    f = m.field
+    return f.nullspace(np.vstack([f.zeros(0, m.dim)] + [h for hs in homs.values() for h in hs]))
 
 
 def radical_submodule(m: FpModule, lib: ModuleLibrary) -> np.ndarray:
@@ -646,11 +647,11 @@ def _build_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
     if m.dim == 0:
         return ProjectiveCover(zero_module_like(m), f.zeros(0, 0), [])
     homs, tops = _covered_tops(m, lib)
-    rad = _common_kernel(m, homs)
-    _, q, _ = quotient_by_columns(m, rad)
-    tdim = q.shape[0]
+    # the stacked maps to the simples kill exactly the radical, so they
+    # embed the top: an image there has the rank of its image in the top
+    top = np.vstack([h for hs in homs.values() for h in hs])
     chosen: list[tuple[str, np.ndarray]] = []
-    covered = f.zeros(tdim, 0)
+    covered = f.zeros(top.shape[0], 0)
     for label in sorted(tops):
         want = tops[label]
         sdim = lib.simples[label].dim
@@ -658,7 +659,7 @@ def _build_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
         for phi in _hom(lib.projectives[label], m):
             if got == want:
                 break
-            trial = f.column_space_basis(np.hstack([covered, f.matmul(q, phi)]))
+            trial = f.column_space_basis(np.hstack([covered, f.matmul(top, phi)]))
             if trial.shape[1] == covered.shape[1] + sdim:
                 covered = trial
                 chosen.append((label, phi))
@@ -700,26 +701,30 @@ def _build_syzygy(m: FpModule, lib: ModuleLibrary) -> SyzygyData:
     return SyzygyData(omega, incl, cover)
 
 
-def ext1_dim(m: FpModule, n: FpModule, lib: ModuleLibrary) -> int:
-    """Dimension of the first extension group of m by n.
+def ext1_cocycles(m: FpModule, n: FpModule, lib: ModuleLibrary) -> tuple[SyzygyData, list]:
+    """The syzygy of m, and cocycles whose classes form a basis of Ext^1(m, n).
 
-    Classes live in Hom(syzygy, n); the ones that extend to the cover
-    are coboundaries and get quotiented out.  When n is simple the
-    cover maps kill the syzygy (it sits inside the radical), so the
-    subtraction is a no-op in that case.
+    Classes live in Hom(syzygy, n), modulo the coboundaries, the maps
+    that extend to the cover.  The cocycles are the elements of the
+    Hom(syzygy, n) basis outside the span of the coboundaries and of the
+    elements before them: pivots of one reduction of both, stacked.
     """
     syz = syzygy(m, lib)
     homs = _hom(syz.module, n)
     if not homs:
-        return 0
+        return syz, []
     coboundaries = ext1_coboundaries(syz, n)
-    if not coboundaries:
-        return len(homs)
-    f = m.field
-    stacked = np.stack([h.reshape(-1) for h in homs + coboundaries])
-    if f.rank(stacked) != len(homs):
+    stacked = np.stack([h.reshape(-1) for h in coboundaries + homs], axis=1)
+    _, pivots = m.field.rref(stacked)
+    if len(pivots) != len(homs):
         raise CertificateError("coboundary escaped Hom(syzygy, n)")
-    return len(homs) - f.rank(np.stack([h.reshape(-1) for h in coboundaries]))
+    skip = len(coboundaries)
+    return syz, [homs[c - skip] for c in pivots if c >= skip]
+
+
+def ext1_dim(m: FpModule, n: FpModule, lib: ModuleLibrary) -> int:
+    """Dimension of the first extension group of m by n."""
+    return len(ext1_cocycles(m, n, lib)[1])
 
 
 def ext1_coboundaries(syz: SyzygyData, n: FpModule) -> list:
@@ -802,6 +807,21 @@ def build_extension(n: FpModule, syz: SyzygyData, cocycle) -> ExtensionData:
 
 # -- isomorphism testing -------------------------------------------------
 
+def _combine(f: GF, mats: list[np.ndarray], coeffs) -> np.ndarray:
+    """sum_i c[i] mats[i] for each row c of coeffs, in one product."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    flat = np.stack(mats).reshape(len(mats), -1)
+    return f.matmul(coeffs, flat).reshape(coeffs.shape[:-1] + mats[0].shape)
+
+
+def _candidates(f: GF, homs: list[np.ndarray], seed: int, tries: int):
+    """The basis, then `tries` combinations of it with seeded random coefficients."""
+    yield from homs
+    rng = random.Random(seed)
+    for _ in range(tries):
+        yield _combine(f, homs, [rng.randrange(f.q) for _ in homs])
+
+
 @dataclass
 class IsoResult:
     isomorphic: bool
@@ -836,26 +856,13 @@ def is_isomorphic(m: FpModule, n: FpModule, seed: int = 0) -> IsoResult:
                 raise CertificateError(f"isomorphism witness fails to intertwine {label}")
         return IsoResult(True, h)
 
-    for h in homs:
+    for h in _candidates(f, homs, seed, _ISO_TRIES):
         hit = check(h)
-        if hit:
-            return hit
-    rng = random.Random(seed)
-    for _ in range(_ISO_TRIES):
-        combo = f.zeros(n.dim, m.dim)
-        for h in homs:
-            combo = f.add(combo, f.mul(h, rng.randrange(f.q)))
-        hit = check(combo)
         if hit:
             return hit
     if f.q ** len(homs) <= _EXHAUST_BOUND:
         for coeffs in itertools.product(range(f.q), repeat=len(homs)):
-            if not any(coeffs):
-                continue
-            combo = f.zeros(n.dim, m.dim)
-            for c, h in zip(coeffs, homs):
-                combo = f.add(combo, f.mul(h, c))
-            hit = check(combo)
+            hit = any(coeffs) and check(_combine(f, homs, coeffs))
             if hit:
                 return hit
         return IsoResult(False)
@@ -870,17 +877,18 @@ def is_isomorphic(m: FpModule, n: FpModule, seed: int = 0) -> IsoResult:
 def fitting_split(m: FpModule, endo):
     """Split along the stable image/kernel of a high power of an endo.
 
-    Returns ((image part, inclusion), (kernel part, inclusion)).  Both
+    Returns ((image part, inclusion), (kernel part, inclusion)), or None
+    when the power is invertible or zero and so splits nothing.  Both
     spans are submodules because the endomorphism commutes with every
-    generator.  Raises ValueError if the power is invertible or zero.
+    generator.
     """
     f = m.field
     y = f.matpow(f.normalize(np.asarray(endo, dtype=np.int64)), max(m.dim, 1))
     image = f.column_space_basis(y)
-    kernel = f.nullspace(y)
     r = image.shape[1]
     if r == 0 or r == m.dim:
-        raise ValueError("endomorphism power gives no proper splitting")
+        return None
+    kernel = f.nullspace(y)
     if r + kernel.shape[1] != m.dim or f.rank(np.hstack([image, kernel])) != m.dim:
         raise CertificateError("stable image and kernel do not split the module")
     return submodule_from_columns(m, image), submodule_from_columns(m, kernel)
@@ -902,30 +910,15 @@ def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
     homs = _hom(m, m)
     if len(homs) == 1:
         return [m]
-
-    def split(h):
-        # the summands of a proper Fitting split along h, or None
-        if not 0 < f.rank(f.matpow(h, m.dim)) < m.dim:
-            return None
-        (a, _), (b, _) = fitting_split(m, h)
-        return decompose(a, seed=seed + 1) + decompose(b, seed=seed + 2)
-
-    for h in homs:
-        parts = split(h)
+    for tried, h in enumerate(_candidates(f, homs, seed, _DECOMPOSE_TRIES)):
+        # in a local End(m) every element is nilpotent or invertible, so
+        # once the basis has failed no random combination could split m
+        if tried == len(homs) and f.k == 1 and _end_is_local(m, homs):
+            return [m]
+        parts = fitting_split(m, h)
         if parts:
-            return parts
-    # in a local End(m) every element is nilpotent or invertible, so no
-    # random combination could split m
-    if f.k == 1 and _end_is_local(m, homs):
-        return [m]
-    rng = random.Random(seed)
-    for _ in range(_DECOMPOSE_TRIES):
-        combo = f.zeros(m.dim, m.dim)
-        for h in homs:
-            combo = f.add(combo, f.mul(h, rng.randrange(f.q)))
-        parts = split(combo)
-        if parts:
-            return parts
+            (a, _), (b, _) = parts
+            return decompose(a, seed=seed + 1) + decompose(b, seed=seed + 2)
     raise Undecided(f"no splitting endomorphism found in {_DECOMPOSE_TRIES} tries")
 
 
@@ -933,30 +926,20 @@ def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
 
 def _power_traces(mats: np.ndarray, e: int, modulus: int) -> np.ndarray:
     """tr(A^e) mod modulus for each matrix A of a stack of nonnegative
-    integer matrices, by squaring mod modulus.
-
-    A product of two reduced n x n matrices has partial sums below
-    n * (modulus - 1)^2.  Under gf's exactness bounds the powers run on
-    float64 BLAS or on int64; above them, on Python ints.
-    """
-    bound = mats.shape[-1] * (modulus - 1) ** 2
-    if bound < _FLOAT_EXACT:
-        dtype = np.float64
-    elif bound < _INT64_SAFE:
-        dtype = np.int64
-    else:
-        dtype = object
-    base = mats.astype(dtype) % modulus
+    integer matrices, by squaring mod modulus in gf.dot_mod, which is
+    exact for any modulus below 2^63."""
+    base = mats % modulus
     power = None
     while True:
         if e & 1:
-            power = base if power is None else np.matmul(power, base) % modulus
+            power = base if power is None else dot_mod(power, base, modulus)
         e >>= 1
         if not e:
             break
-        base = np.matmul(base, base) % modulus
-    traces = np.trace(power, axis1=-2, axis2=-1)
-    return np.array([int(t) % modulus for t in traces.ravel()], dtype=object).reshape(traces.shape)
+        base = dot_mod(base, base, modulus)
+    # a diagonal's sum is its product with a ones column, reduced exactly
+    diagonals = np.diagonal(power, axis1=-2, axis2=-1)
+    return dot_mod(diagonals, np.ones((mats.shape[-1], 1), dtype=np.int64), modulus)[..., 0]
 
 
 def algebra_radical(mats: list[np.ndarray], field: GF) -> list[np.ndarray]:
@@ -992,30 +975,20 @@ def algebra_radical(mats: list[np.ndarray], field: GF) -> list[np.ndarray]:
         if np.any(traces % p**k != 0):
             raise CertificateError("trace lift divisibility failed")
         gram = (traces // p**k % p).astype(np.int64)
-        combos = field.nullspace(gram)
-        nxt = []
-        for c in range(combos.shape[1]):
-            z = field.zeros(n, n)
-            for i, x in enumerate(current):
-                z = field.add(z, field.mul(x, int(combos[i, c])))
-            nxt.append(z)
-        current = nxt
+        current = list(_combine(field, current, field.nullspace(gram).T))
         k += 1
 
     flat_alg = np.column_stack([z.reshape(-1) for z in mats])
     if current:
-        flat_rad = np.column_stack([z.reshape(-1) for z in current])
-        base_rank = field.rank(flat_rad)
-        products = []
-        for z in current:
-            for b in mats:
-                products.append(field.matmul(z, b).reshape(-1))
-                products.append(field.matmul(b, z).reshape(-1))
-        if field.rank(np.hstack([flat_rad, np.column_stack(products)])) != base_rank:
+        rad, alg = np.stack(current), np.stack(mats)
+        flat_rad = rad.reshape(len(rad), -1).T
+        # z b and b z for every radical element z and algebra element b
+        products = [field.matmul(rad[:, None], alg[None]), field.matmul(alg[None], rad[:, None])]
+        products = np.concatenate(products).reshape(-1, n * n).T
+        if field.rank(np.hstack([flat_rad, products])) != field.rank(flat_rad):
             raise CertificateError("radical candidate is not an ideal")
-        for z in current:
-            if np.any(field.matpow(z, n)):
-                raise CertificateError("radical element is not nilpotent")
+        if np.any(field.matpow(rad, n)):
+            raise CertificateError("radical element is not nilpotent")
     if field.rank(flat_alg) != len(mats):
         raise CertificateError("algebra basis is dependent")
     return current
@@ -1123,6 +1096,8 @@ def parse_text(text: str) -> FpModule:
     dim = int(fields["dim"])
     q = int(fields["q"])
     labels = [l for l in fields["labels"].split(",") if l]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"labels {labels} repeat a label")
     gf = GF.from_q(q)
     expected = 1 + dim * len(labels)
     if len(lines) != expected:

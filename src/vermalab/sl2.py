@@ -27,7 +27,6 @@ from .modules import (
     FpModule,
     ModuleLibrary,
     SchemaMismatch,
-    _hom,
     _homs_from_simples,
     _joint_image,
     _multiplicities,
@@ -35,7 +34,7 @@ from .modules import (
     decompose,
     direct_sum,
     eigenvalue_multiplicities,
-    ext1_coboundaries,
+    ext1_cocycles,
     is_indecomposable,
     is_isomorphic,
     is_projective_module,
@@ -371,10 +370,7 @@ def restricted_as_r2(mod: FpModule) -> FpModule:
         raise SchemaMismatch("expected an r = 1 module")
     f = mod.field
     zero = f.zeros(mod.dim, mod.dim)
-    ops = dict(mod.ops)
-    ops["e_p"] = zero
-    ops["f_p"] = zero.copy()
-    out = FpModule(f, mod.dim, ops)
+    out = FpModule(f, mod.dim, {**mod.ops, "e_p": zero, "f_p": zero})
     Sl2Schema(f.p, 2).check(out)
     return out
 
@@ -389,13 +385,7 @@ def frobenius_twist(mod: FpModule) -> FpModule:
         raise SchemaMismatch("twist starts from an r = 1 module")
     f = mod.field
     zero = f.zeros(mod.dim, mod.dim)
-    ops = {
-        "e": zero,
-        "f": zero.copy(),
-        "h": zero.copy(),
-        "e_p": mod.ops["e"].copy(),
-        "f_p": mod.ops["f"].copy(),
-    }
+    ops = {"e": zero, "f": zero, "h": zero, "e_p": mod.ops["e"], "f_p": mod.ops["f"]}
     out = FpModule(f, mod.dim, ops)
     Sl2Schema(f.p, 2).check(out)
     return out
@@ -758,18 +748,6 @@ def verify_periodicity_and_tube(p: int, seed: int = 0) -> CheckReport:
     return _finish("syzygy-periodicity", p, 1, cases)
 
 
-def _cocycle_outside_coboundaries(field, homs, coboundaries):
-    if not homs:
-        return None, 0
-    flat_cob = [h.reshape(-1) for h in coboundaries]
-    base_rank = field.rank(np.stack(flat_cob)) if flat_cob else 0
-    for cand in homs:
-        stacked = np.stack(flat_cob + [cand.reshape(-1)])
-        if field.rank(stacked) > base_rank:
-            return cand, base_rank
-    return None, base_rank
-
-
 def verify_ar_middle_term(p: int) -> CheckReport:
     """Gluing a non-projective Verma against its second syzygy.
 
@@ -782,19 +760,14 @@ def verify_ar_middle_term(p: int) -> CheckReport:
     cases = []
     for lam in range(p - 1):
         z = build_verma_r1(schema, lam)
-        o1 = syzygy(z, lib)
-        o2 = syzygy(o1.module, lib)
-        target = o2.module
-        homs = _hom(o1.module, target)
-        cob = ext1_coboundaries(o1, target)
-        cocycle, cob_rank = _cocycle_outside_coboundaries(z.field, homs, cob)
-        ext_dim = len(homs) - cob_rank
-        ok = ext_dim >= 1 and cocycle is not None
+        target = syzygy(syzygy(z, lib).module, lib).module
+        o1, cocycles = ext1_cocycles(z, target, lib)
+        ok = bool(cocycles)
         middle_dim = None
         indec = False
         splits = False
         if ok:
-            glued = build_extension(target, o1, cocycle)
+            glued = build_extension(target, o1, cocycles[0])
             middle_dim = glued.module.dim
             indec = is_indecomposable(glued.module)
             control = build_extension(
@@ -805,7 +778,7 @@ def verify_ar_middle_term(p: int) -> CheckReport:
         cases.append(
             {
                 "lambda": lam,
-                "ext_dim": ext_dim,
+                "ext_dim": len(cocycles),
                 "middle_dim": middle_dim,
                 "indecomposable": indec,
                 "zero_cocycle_splits": splits,

@@ -225,6 +225,8 @@ def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -
     products run in int64 when a bound on every intermediate is below
     2^63, and on exact Python ints otherwise.
     """
+    if r < 1:
+        raise ValueError("r must be >= 1")
     lattice = translation_lattice(rs, depth(rs, lam, p), p, r)
     n = rs.rank
     # every partial sum of w(lam + rho) is at most n * max|w_ij| * max|lam + rho|,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -246,6 +247,27 @@ def test_weight_verbs_reject_a_p_that_is_not_prime(verb):
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == [[2, {"error": f"p = {p} is not prime"}] for p in BAD_PRIMES]
+
+
+@pytest.mark.parametrize("r", [0, -1, -2])
+def test_block_rejects_a_level_below_one(capsys, r):
+    # at r = -1, p^r used to turn into a float inside the Smith form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(
+            capsys,
+            ["block", "--type", "A1", "--p", "5", f"--r={r}", "--weight", "0", "--gamma", "1"],
+        )
+    assert (code, out) == (2, "error: r must be >= 1\n")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.1"])
+def test_verify_heisenberg_rejects_a_tolerance_that_is_not_finite_or_negative(capsys, tol):
+    code, out = run(
+        capsys, ["verify-heisenberg", "--r", "1", "--qs", "3,5", f"--tol={tol}", "--json"]
+    )
+    assert code == 2
+    assert json.loads(out) == {"error": f"tolerance {float(tol)} must be finite and nonnegative"}
 
 
 def test_verification_failure_exits_one(capsys):

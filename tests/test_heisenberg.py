@@ -209,6 +209,14 @@ def test_fit_r3_slope():
     assert fit.passed
 
 
+def test_fit_default_tolerance_widens_from_r3():
+    assert dimension_fit(2, [2, 3]).tol == 0.15
+    assert dimension_fit(3, [2, 3]).tol == 0.3
+    for bad in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            dimension_fit(2, [2, 3], tol=bad)
+
+
 def test_fit_fails_outside_tolerance():
     fit = dimension_fit(2, [3, 5, 7], tol=0.05)
     assert not fit.passed

@@ -39,6 +39,8 @@ from vermalab.modules import (
     direct_sum,
     dump_text,
     eigenvalue_multiplicities,
+    ext1_coboundaries,
+    ext1_cocycles,
     ext1_dim,
     fitting_split,
     hom_space,
@@ -533,6 +535,44 @@ def test_ext1_and_projectivity():
     assert not is_projective_module(jordan(p, p, 2), lib)
 
 
+def ext1_cases():
+    """(m, n, lib, ar): the AR family Ext^1(Z, Omega^2 Z) of the
+    non-projective level-1 baby Vermas at p = 3, 5, 7 (ar true), and every
+    pair of level-1 simples at p = 3, 5."""
+    cases = []
+    for p in (3, 5, 7):
+        lib = library(p, 1)
+        for lam in range(p - 1):
+            z = build_verma_r1(Sl2Schema(p, 1), lam)
+            cases.append((z, syzygy(syzygy(z, lib).module, lib).module, lib, True))
+    for p in (3, 5):
+        lib = library(p, 1)
+        cases += [(a, b, lib, False) for a in lib.simples.values() for b in lib.simples.values()]
+    return cases
+
+
+def test_ext1_cocycles_are_the_basis_elements_off_the_coboundaries():
+    for m, n, lib, ar in ext1_cases():
+        f = m.field
+        syz, cocycles = ext1_cocycles(m, n, lib)
+        homs = hom_space(syz.module, n)
+        cob = [c.reshape(-1) for c in ext1_coboundaries(syz, n)]
+        rank = lambda vecs: f.rank(np.stack(vecs)) if vecs else 0
+        # dim Ext^1 = dim Hom(syzygy, n) - rank of the coboundaries
+        assert len(cocycles) == ext1_dim(m, n, lib) == len(homs) - rank(cob)
+        # a basis element is a cocycle exactly when it lies outside the span
+        # of the coboundaries and of the basis elements before it
+        outside = [
+            h for i, h in enumerate(homs)
+            if rank(cob + [g.reshape(-1) for g in homs[: i + 1]])
+            > rank(cob + [g.reshape(-1) for g in homs[:i]])
+        ]
+        assert len(outside) == len(cocycles)
+        assert all(np.array_equal(a, b) for a, b in zip(outside, cocycles))
+        # the almost split sequence needs a nonzero class
+        assert len(cocycles) >= 1 or not ar
+
+
 def test_ext1_general_target_subtracts_coboundaries():
     # over k[t]/(t^p): dim Ext^1(J_a, J_b) = min(a, b, p-a, p-b)
     p = 5
@@ -644,9 +684,10 @@ def test_fitting_split_block_projection():
 
 
 def test_fitting_split_rejects_invertible():
+    # an invertible power keeps everything and a zero one nothing: no split
     m = jordan(5, 3)
-    with pytest.raises(ValueError):
-        fitting_split(m, np.eye(3, dtype=np.int64))
+    assert fitting_split(m, np.eye(3, dtype=np.int64)) is None
+    assert fitting_split(m, m.ops["t"]) is None
 
 
 def test_decompose_recovers_blocks():
@@ -954,6 +995,17 @@ def test_parse_rejects_malformed():
         parse_text("dim=2 q=3 labels=t\n0,0\n")
     with pytest.raises(ValueError):
         parse_text("")
+
+
+def test_negative_dimension_and_repeated_labels_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        parse_text("dim=-2 q=5 labels=\n")
+    with pytest.raises(ValueError, match="negative"):
+        FpModule(GF(5), -3, {})
+    # a second block under the same label would replace the first
+    with pytest.raises(ValueError, match="repeat"):
+        parse_text("dim=1 q=5 labels=e,e\n1\n2\n")
+    assert parse_text("dim=0 q=5 labels=e\n").dim == 0
 
 
 def test_restrict_labels():

@@ -39,3 +39,16 @@ def test_every_parameter_is_read():
                 if name not in read and name not in ("self", "cls")
             ]
     assert unread == []
+
+
+def test_float64_products_only_in_gf():
+    # exact products on float64 hold only under gf's bound on their
+    # partial sums, so every other file multiplies through gf
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "gf.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "float64" in line or "_FLOAT_EXACT" in line
+    ]
+    assert found == []
