@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from gettext import gettext
 
 from .heisenberg import dimension_fit
 from .modules import Undecided, dump_text
@@ -29,19 +30,13 @@ from .sl2 import (
 from .verma import NEG_INFINITY, block_contains, classify, depth, depth_reduce
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 6)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def canon(obj) -> str:
-    """Canonical JSON: sorted keys, two-space indent, rounded floats."""
-    return json.dumps(_round_floats(obj), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, two-space indent.
+
+    Floats are written as given; the one report that holds any,
+    `DimensionFit`, rounds them itself.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _emit(args, obj, text: str) -> None:
@@ -58,11 +53,18 @@ def _parse_weight(text: str):
         raise ValueError(f"weight {text!r} must be comma-separated integers") from None
 
 
-def _cartan_spec(args) -> CartanSpec:
-    if args.cartan is not None:
-        return CartanSpec.parse(args.cartan)
-    if args.type is not None:
-        return CartanSpec.from_type(args.type)
+@functools.lru_cache(maxsize=None)
+def _cartan_spec(type_name: str | None, cartan: str | None) -> CartanSpec:
+    """The Cartan matrix spelled by --type or --cartan, parsed and validated once per spelling.
+
+    lru_cache keeps no exception, so a spelling that fails raises every time.
+    """
+    if type_name is not None and cartan is not None:
+        raise ValueError("give one of --type or --cartan, not both")
+    if cartan is not None:
+        return CartanSpec.parse(cartan)
+    if type_name is not None:
+        return CartanSpec.from_type(type_name)
     raise ValueError("one of --type or --cartan is required")
 
 
@@ -73,12 +75,19 @@ def _check_rank(rs, lam) -> None:
         )
 
 
-def _root_system_and_weight(args):
-    """The root system named by --type or --cartan, and --weight checked against its rank."""
-    rs = build_root_system(_cartan_spec(args))
+def _checked_weight(args, rs) -> tuple[int, ...]:
+    """--weight checked against the rank of `rs`, then --r, where the verb has one, checked >= 1."""
     lam = _parse_weight(args.weight)
     _check_rank(rs, lam)
-    return rs, lam
+    if "r" in args and args.r < 1:
+        raise ValueError("r must be >= 1")
+    return lam
+
+
+def _root_system_and_weight(args):
+    """The root system named by --type or --cartan, and the checked --weight."""
+    rs = build_root_system(_cartan_spec(args.type, args.cartan))
+    return rs, _checked_weight(args, rs)
 
 
 def _depth_str(d) -> str:
@@ -121,12 +130,14 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    spec = _cartan_spec(args)
-    lam = _parse_weight(args.weight)
-    _check_rank(spec, lam)
+    # the spec alone: classify checks p before it builds the root system
+    spec = _cartan_spec(args.type, args.cartan)
+    lam = _checked_weight(args, spec)
     report = classify(spec, lam, args.p, args.r).to_json_dict()
-    lines = [f"{k}: {json.dumps(_round_floats(v))}" for k, v in report.items()]
-    _emit(args, report, "\n".join(lines))
+    if args.json:
+        sys.stdout.write(canon(report))
+    else:
+        sys.stdout.write("\n".join(f"{k}: {json.dumps(v)}" for k, v in report.items()) + "\n")
     return 0
 
 
@@ -289,11 +300,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dm.add_argument("--out", help="write the module text format to this path")
 
+    # each verb's own parser, for main to hand the arguments after the verb to directly
+    parser.verb_parsers = sub.choices
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns, in one pass when argv starts with a verb.
+
+    The top-level parser passes everything after the verb to that verb's
+    parser and reports what it leaves over, so calling the verb's parser
+    directly gives the same namespace, output and exit.  The top-level
+    parser still handles an empty argv, an unknown verb and a flag before
+    the verb.
+    """
+    parser = build_parser()
+    verb_parser = parser.verb_parsers.get(argv[0]) if argv else None
+    if verb_parser is None:
+        return parser.parse_args(argv)
+    args, extras = verb_parser.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    if extras:
+        # in argparse's own words, translation included
+        parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except Undecided as e:

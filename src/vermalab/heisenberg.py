@@ -114,13 +114,14 @@ class DimensionFit:
     passed: bool
 
     def to_json_dict(self) -> dict:
+        """The report with its floats rounded to 6 places, so it renders stably."""
         return {
             "r": self.r,
             "counts": [c.to_json_dict() for c in self.counts],
-            "slope": self.slope,
-            "residual": self.residual,
+            "slope": round(self.slope, 6),
+            "residual": round(self.residual, 6),
             "target": self.target,
-            "tol": self.tol,
+            "tol": round(self.tol, 6),
             "pass": self.passed,
         }
 

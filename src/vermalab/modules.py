@@ -849,7 +849,8 @@ def is_isomorphic(m: FpModule, n: FpModule, seed: int = 0) -> IsoResult:
         return IsoResult(False)
 
     def check(h):
-        if not f.is_invertible(h):
+        # a zero row or column rules out an inverse without a rank
+        if not (h.any(axis=0).all() and h.any(axis=1).all()) or not f.is_invertible(h):
             return None
         for label in m.labels:
             if not np.array_equal(f.matmul(h, m.ops[label]), f.matmul(n.ops[label], h)):

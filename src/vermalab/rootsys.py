@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .gf import is_prime
+from .gf import _INT64_SAFE, is_prime
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -188,6 +188,18 @@ class RootSystem:
         """The largest absolute entry of any Weyl group matrix."""
         return int(np.abs(self.weyl_array).max())
 
+    @cached_property
+    def coroot_matrix(self) -> np.ndarray:
+        """The coroot coordinates of the positive roots, one read-only int64 row each."""
+        coroots = np.array([root.coroot_coeffs for root in self.positive_roots], dtype=np.int64)
+        coroots.setflags(write=False)
+        return coroots
+
+    @cached_property
+    def coroot_entry_bound(self) -> int:
+        """The largest absolute entry of `coroot_matrix`."""
+        return int(np.abs(self.coroot_matrix).max())
+
 
 def _mat_vec(m: Matrix, v) -> tuple[int, ...]:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
@@ -292,6 +304,20 @@ def pairing(rs: RootSystem, lam: Weight, root: PositiveRoot | int) -> int:
         root = rs.positive_roots[root]
     return sum(cv * l for cv, l in zip(root.coroot_coeffs, lam))
 
+
+def shifted_pairings(rs: RootSystem, lam: Weight) -> list[int]:
+    """<lam + rho, alpha_v> for every positive root, in the order of `positive_roots`.
+
+    One product with `coroot_matrix`, in int64 when every partial sum is
+    below 2^63 (each is at most rank * max|coroot entry| * max|lam + rho|),
+    and on exact Python ints otherwise.
+    """
+    shifted = add_weights(lam, rs.rho)
+    if rs.rank * rs.coroot_entry_bound * max(map(abs, shifted)) < _INT64_SAFE:
+        return (rs.coroot_matrix @ np.array(shifted, dtype=np.int64)).tolist()
+    return [pairing(rs, shifted, root) for root in rs.positive_roots]
+
+
 def apply_weyl(w: Matrix, lam: Weight) -> Weight:
     return _mat_vec(w, lam)
 
@@ -316,12 +342,8 @@ def psi_set(rs: RootSystem, lam: Weight, p: int, r: int) -> tuple[int, ...]:
         raise ValueError(f"p = {p} is not prime")
     if r < 0:
         raise ValueError("r must be >= 0")
-    shifted = add_weights(lam, rs.rho)
     mod = p**r
-    return tuple(
-        i for i, root in enumerate(rs.positive_roots)
-        if pairing(rs, shifted, root) % mod == 0
-    )
+    return tuple(i for i, a in enumerate(shifted_pairings(rs, lam)) if a % mod == 0)
 
 
 def is_pr_regular(rs: RootSystem, lam: Weight, p: int, r: int) -> bool:

@@ -8,6 +8,7 @@ fail are simply absent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -24,8 +25,8 @@ from .rootsys import (
     dot_action,
     is_good_prime,
     is_pr_regular,
-    pairing,
     psi_set,
+    shifted_pairings,
 )
 
 NEG_INFINITY = float("-inf")
@@ -55,18 +56,17 @@ def _p_adic_valuation(n: int, p: int) -> int:
 def depth(rs: RootSystem, lam: Weight, p: int) -> int | float:
     """Least s >= 1 such that not every pairing of lam+rho is divisible by p^s.
 
-    Equals 1 + min p-adic valuation over the nonzero pairings, and
-    NEG_INFINITY when every pairing vanishes (then divisibility holds
-    for all s).  Raises ValueError unless p is prime.
+    Equals 1 + min p-adic valuation over the nonzero pairings, which is
+    the valuation of their gcd, and NEG_INFINITY when every pairing
+    vanishes (then divisibility holds for all s).  Raises ValueError
+    unless p is prime.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    shifted = add_weights(lam, rs.rho)
-    pairings = [pairing(rs, shifted, root) for root in rs.positive_roots]
-    nonzero = [abs(a) for a in pairings if a != 0]
-    if not nonzero:
+    g = math.gcd(*shifted_pairings(rs, lam))
+    if g == 0:
         return NEG_INFINITY
-    return 1 + min(_p_adic_valuation(a, p) for a in nonzero)
+    return 1 + _p_adic_valuation(g, p)
 
 
 def is_projective_verma(rs: RootSystem, lam: Weight, p: int, r: int) -> bool:

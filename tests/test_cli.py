@@ -1,4 +1,5 @@
 """CLI round trips, exit codes, and golden-file byte comparisons."""
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import vermalab
+import vermalab.cli
 from vermalab.cli import build_parser, main
 from vermalab.modules import parse_text
 from vermalab.sl2 import Sl2Schema
@@ -201,6 +203,10 @@ def test_input_errors_exit_two(capsys):
     code, out = run(capsys, ["depth", "--type", "A1", "--p", "5", "--weight", "1,2"])
     assert code == 2 and "rank" in out
     code, out = run(
+        capsys, ["depth", "--type", "A2", "--cartan", "2", "--p", "5", "--weight", "1"]
+    )
+    assert (code, out) == (2, "error: give one of --type or --cartan, not both\n")
+    code, out = run(
         capsys,
         ["classify", "--type", "A1", "--p", "4", "--r", "1", "--weight", "2", "--json"],
     )
@@ -259,6 +265,84 @@ def test_block_rejects_a_level_below_one(capsys, r):
             ["block", "--type", "A1", "--p", "5", f"--r={r}", "--weight", "0", "--gamma", "1"],
         )
     assert (code, out) == (2, "error: r must be >= 1\n")
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("r", [0, -1])
+@pytest.mark.parametrize("verb", ["psi", "regular", "reduce", "block", "classify"])
+def test_weight_verbs_reject_a_level_below_one(capsys, verb, r, json_mode):
+    extra = ["--gamma", "1"] if verb == "block" else []
+    argv = [verb, "--type", "A1", "--p", "5", f"--r={r}", "--weight", "4", *extra]
+    code, out = run(capsys, argv + ["--json"] if json_mode else argv)
+    assert code == 2
+    if json_mode:
+        assert json.loads(out) == {"error": "r must be >= 1"}
+    else:
+        assert out == "error: r must be >= 1\n"
+
+
+# one valid call of every verb
+VERB_CALLS = {
+    "depth": ["depth", "--type", "A2", "--p", "5", "--weight", "3,4"],
+    "regular": ["regular", "--cartan", "2,-1;-1,2", "--p", "5", "--r", "1", "--weight", "3,4"],
+    "psi": ["psi", "--type", "B2", "--p", "3", "--r", "1", "--weight", "2,0"],
+    "classify": ["classify", "--type", "A2", "--p", "7", "--r", "1", "--weight", "1,1"],
+    "reduce": ["reduce", "--type", "A1", "--p", "5", "--r", "2", "--weight", "9"],
+    "block": ["block", "--type", "A1", "--p", "5", "--r", "1", "--weight", "0", "--gamma", "3"],
+    "verify-sl2": ["verify-sl2", "--p", "3", "--r", "1"],
+    "verify-heisenberg": ["verify-heisenberg", "--r", "1", "--qs", "3,5"],
+    "dump-module": ["dump-module", "--p", "3", "--r", "1", "--weight", "1"],
+}
+# inputs the parser refuses or answers itself
+USAGE_CASES = {
+    "unknown-verb": ["no-such-verb", "--p", "5"],
+    "no-arguments": [],
+    "missing-flag": ["depth", "--type", "A1", "--weight", "3"],
+    "bad-int": ["psi", "--type", "A1", "--p", "five", "--r", "1", "--weight", "3"],
+    "extra-flag": ["block", "--type", "A1", "--p", "5", "--r", "1", "--weight", "0",
+                   "--gamma", "3", "--bogus", "x"],
+    "text-flag": ["regular", "--type", "A1", "--p", "5", "--r", "1", "--weight", "3", "--text"],
+    "help-before-verb": ["-h", "depth"],
+    "help-after-verb": ["classify", "-h"],
+    "weight-with-equals": ["depth", "--type", "A2", "--p", "5", "--weight=-1,2"],
+}
+DISPATCH_CASES = {**VERB_CALLS, **USAGE_CASES}
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout and stderr of main(argv), a usage exit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("case", sorted(DISPATCH_CASES))
+def test_main_answers_as_the_top_level_parser_does(capsys, monkeypatch, case, json_mode):
+    argv = DISPATCH_CASES[case] + (["--json"] if json_mode else [])
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(vermalab.cli, "_parse_args", lambda a: build_parser().parse_args(a))
+    assert got == _outcome(capsys, argv)
+    if isinstance(got[0], int):  # a parse that succeeded: the same namespace too
+        monkeypatch.undo()
+        assert vermalab.cli._parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_CALLS))
+def test_a_call_parses_its_arguments_once(capsys, monkeypatch, verb):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    run(capsys, VERB_CALLS[verb])
+    assert calls == [f"vermalab {verb}"]
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.1"])

@@ -14,6 +14,7 @@ from vermalab.rootsys import (
     is_pr_regular,
     pairing,
     psi_set,
+    shifted_pairings,
 )
 
 TYPES = ["A1", "A2", "B2", "G2", "A1xA1"]
@@ -211,6 +212,26 @@ def test_rho_pairings_are_one_on_simple_roots():
             top = max(rs.positive_roots, key=lambda r: r.height)
             assert top.height == rs.coxeter_number - 1
             assert pairing(rs, rs.rho, top) == dual_coxeter[name] - 1
+
+
+@pytest.mark.parametrize("name", list(CLASSIFIED))
+def test_shifted_pairings_match_each_root(name):
+    rs = rs_of(name)
+    rng = np.random.default_rng(len(name) + rs.rank)
+    # `edge` is the largest max|lam + rho| the int64 product takes, so it runs
+    # in int64 and `edge + 1` on Python ints; by type, 2^62 falls on either side
+    edge = (2**63 - 1) // (rs.rank * rs.coroot_entry_bound)
+    tops = [60, edge - 1, edge, edge + 1, 2**62 - 1, 2**62, 2**62 + 1, 2**64]
+    for top in tops:
+        draws = [[top] * rs.rank, [-top] * rs.rank]
+        for _ in range(4):
+            shifted = [int(x) for x in rng.integers(-60, 61, rs.rank)]
+            shifted[int(rng.integers(rs.rank))] = int(rng.choice([-1, 1])) * top
+            draws.append(shifted)
+        for shifted in draws:
+            lam = tuple(x - 1 for x in shifted)
+            want = [pairing(rs, tuple(shifted), root) for root in rs.positive_roots]
+            assert shifted_pairings(rs, lam) == want
 
 
 def test_sl2_dot_action_is_reflection_minus_two():
