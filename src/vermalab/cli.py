@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from gettext import gettext
+from json.encoder import encode_basestring_ascii
 
 from .heisenberg import dimension_fit
 from .modules import Undecided, dump_text
@@ -33,10 +35,74 @@ from .verma import NEG_INFINITY, block_contains, classify, depth, depth_reduce
 def canon(obj) -> str:
     """Canonical JSON: sorted keys, two-space indent.
 
-    Floats are written as given; the one report that holds any,
-    `DimensionFit`, rounds them itself.
+    Byte-identical to ``json.dumps(obj, sort_keys=True, indent=2)``, which
+    with an indent runs json's pure-Python encoder; `_render` writes the
+    same text directly, escaping strings with json's C escaper.  Floats
+    are written as given; the one report that holds any, `DimensionFit`,
+    rounds them itself.
     """
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return _render(obj, "\n") + "\n"
+
+
+def _float_text(x: float) -> str:
+    """A float as json writes it."""
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the writer of each scalar type json takes, looked up by exact type
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: _float_text,
+}
+
+
+def _render(obj, indent: str) -> str:
+    """`obj` as json writes it at sort_keys=True, indent=2; `indent` is a newline and
+    the indentation of obj's own line.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool, None and
+    float, subclasses included, and raises TypeError on anything else.
+    Scalars inside a container are written in place, without a call.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            scalar = _SCALARS.get(type(value))
+            text = scalar(value) if scalar is not None else _render(value, inner)
+            items.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        get = _SCALARS.get
+        items = [
+            scalar(v) if (scalar := get(type(v))) is not None else _render(v, inner) for v in obj
+        ]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    # subclasses of the scalar types, written as json writes their base type
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(args, obj, text: str) -> None:
@@ -234,8 +300,12 @@ def _cmd_dump_module(args) -> int:
     mod = _build_module(args.kind, args.p, args.r, lam_vec[0])
     text = dump_text(mod)
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            # bad input, like any other: exit 2 with the reason, not a traceback
+            raise ValueError(f"cannot write {args.out}: {e.strerror or e}") from None
         sys.stdout.write(f"wrote {mod.dim}-dimensional module to {args.out}\n")
     else:
         sys.stdout.write(text)
@@ -254,23 +324,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="analyzers and verification suites for modular weight combinatorics",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    declared = {}  # verb -> (the actions its add_argument calls returned, fn)
 
     def add(name, fn, *, needs_p=True, root=False, needs_r=True, weight=True):
+        """Add the verb's parser and its shared flags; returns its add_argument."""
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--json", action="store_true", help="canonical JSON output")
+        actions = []
+        declared[name] = (actions, fn)
+
+        def arg(*names, **kwargs):
+            actions.append(sp.add_argument(*names, **kwargs))
+
+        arg("--json", action="store_true", help="canonical JSON output")
         if needs_p:
-            sp.add_argument("--p", type=int, required=True, help="prime")
+            arg("--p", type=int, required=True, help="prime")
         if root:
-            sp.add_argument("--type", help="named type: A1, A2, B2, G2, A1xA1")
-            sp.add_argument("--cartan", help="explicit Cartan rows, e.g. '2,-1;-1,2'")
+            arg("--type", help="named type: A1, A2, B2, G2, A1xA1")
+            arg("--cartan", help="explicit Cartan rows, e.g. '2,-1;-1,2'")
         if needs_r:
-            sp.add_argument("--r", type=int, required=True, help="Frobenius kernel level")
+            arg("--r", type=int, required=True, help="Frobenius kernel level")
         if weight:
-            sp.add_argument(
-                "--weight", required=True, help="comma-separated fundamental-weight coordinates"
-            )
-        return sp
+            arg("--weight", required=True, help="comma-separated fundamental-weight coordinates")
+        return arg
 
     add("depth", _cmd_depth, root=True, needs_r=False)
     add("regular", _cmd_regular, root=True)
@@ -278,47 +354,126 @@ def build_parser() -> argparse.ArgumentParser:
     add("classify", _cmd_classify, root=True)
     add("reduce", _cmd_reduce, root=True)
     bl = add("block", _cmd_block, root=True)
-    bl.add_argument("--gamma", required=True, help="candidate weight, comma-separated")
+    bl("--gamma", required=True, help="candidate weight, comma-separated")
 
     vs = add("verify-sl2", _cmd_verify_sl2, weight=False)
-    vs.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
+    vs("--seed", type=int, default=0, help="seed for randomized subroutines")
 
     vh = add(
         "verify-heisenberg", _cmd_verify_heisenberg, needs_p=False, needs_r=False, weight=False
     )
-    vh.add_argument("--r", type=int, required=True, help="number of generator pairs")
-    vh.add_argument("--qs", required=True, help="comma-separated field sizes")
-    vh.add_argument("--tol", type=float, default=None, help="slope tolerance")
+    vh("--r", type=int, required=True, help="number of generator pairs")
+    vh("--qs", required=True, help="comma-separated field sizes")
+    vh("--tol", type=float, default=None, help="slope tolerance")
 
     dm = add("dump-module", _cmd_dump_module, weight=False)
-    dm.add_argument("--weight", help="highest weight (single integer)")
-    dm.add_argument(
+    dm("--weight", help="highest weight (single integer)")
+    dm(
         "--kind",
         default="verma",
         choices=["verma", "simple", "projective", "steinberg"],
         help="which module to construct",
     )
-    dm.add_argument("--out", help="write the module text format to this path")
+    dm("--out", help="write the module text format to this path")
 
     # each verb's own parser, for main to hand the arguments after the verb to directly
     parser.verb_parsers = sub.choices
+    tables = {name: _verb_table(actions, fn) for name, (actions, fn) in declared.items()}
+    parser.verb_tables = {name: t for name, t in tables.items() if t is not None}
     return parser
+
+
+def _verb_table(actions, fn):
+    """One verb's flags as `_parse_by_table` reads them, or None for a verb with choices.
+
+    The table holds: option string -> (dest, type) for the flags that
+    take a value, option string -> (dest, const) for the flags that take
+    none, the required dests, and the namespace argparse starts from
+    (every default, then fn).  argparse checks choices and converts
+    string defaults, so a verb with either is left to it.
+    """
+    options, flags, required, defaults = {}, {}, set(), {}
+    for action in actions:
+        if action.choices is not None or isinstance(action.default, str):
+            return None
+        for option in action.option_strings:
+            if action.nargs == 0:
+                flags[option] = (action.dest, action.const)
+            else:
+                options[option] = (action.dest, action.type or str)
+        if action.required:
+            required.add(action.dest)
+        defaults[action.dest] = action.default
+    defaults["fn"] = fn
+    return options, flags, required, defaults
+
+
+def _parse_by_table(verb: str, tokens: list[str], table):
+    """The namespace argparse gives a well-formed call of `verb`, or None to leave it to argparse.
+
+    Well-formed: every token is a declared option string, a flag with a
+    value given as ``--flag=value`` or as ``--flag value`` with a value
+    that does not start with "-", no flag twice, every required flag
+    present, and every value converted by its type.
+    """
+    options, flags, required, defaults = table
+    values = {}
+    i, n = 0, len(tokens)
+    while i < n:
+        token = tokens[i]
+        i += 1
+        if token in flags:
+            dest, value = flags[token]
+        else:
+            name, eq, value = token.partition("=")
+            if name not in options:
+                return None
+            if eq:
+                if value == "--":  # argparse drops a lone "--", even after "="
+                    return None
+            elif i < n and not tokens[i].startswith("-"):
+                value = tokens[i]
+                i += 1
+            else:
+                return None
+            dest, convert = options[name]
+            try:
+                value = convert(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if dest in values:
+            return None
+        values[dest] = value
+    if not required <= values.keys():
+        return None
+    args = argparse.Namespace(verb=verb, **defaults)
+    vars(args).update(values)
+    return args
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """What ``build_parser().parse_args(argv)`` returns, in one pass when argv starts with a verb.
 
-    The top-level parser passes everything after the verb to that verb's
-    parser and reports what it leaves over, so calling the verb's parser
-    directly gives the same namespace, output and exit.  The top-level
-    parser still handles an empty argv, an unknown verb and a flag before
-    the verb.
+    A well-formed call of a verb with a table is read from that table
+    alone.  Otherwise the top-level parser passes everything after the
+    verb to that verb's parser and reports what it leaves over, so
+    calling the verb's parser directly gives the same namespace, output
+    and exit.  The top-level parser still handles an empty argv, an
+    unknown verb and a flag before the verb.
     """
     parser = build_parser()
-    verb_parser = parser.verb_parsers.get(argv[0]) if argv else None
+    if not argv:
+        return parser.parse_args(argv)
+    verb = argv[0]
+    table = parser.verb_tables.get(verb)
+    if table is not None:
+        args = _parse_by_table(verb, argv[1:], table)
+        if args is not None:
+            return args
+    verb_parser = parser.verb_parsers.get(verb)
     if verb_parser is None:
         return parser.parse_args(argv)
-    args, extras = verb_parser.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    args, extras = verb_parser.parse_known_args(argv[1:], argparse.Namespace(verb=verb))
     if extras:
         # in argparse's own words, translation included
         parser.error(gettext("unrecognized arguments: %s") % " ".join(extras))

@@ -467,6 +467,13 @@ def restricted_projectives(p: int) -> dict[str, FpModule]:
 
 
 @lru_cache(maxsize=None)
+def _padded_simple(p: int, lam: int) -> FpModule:
+    """The level-1 simple of highest weight lam as a level-2 module, built and checked
+    once per process for the level-2 simples and the lifted covers alike."""
+    return restricted_as_r2(build_simple(Sl2Schema(p, 1), lam))
+
+
+@lru_cache(maxsize=None)
 def lifted_projectives(p: int) -> dict[int, FpModule]:
     """Level-2 module structures on the r = 1 projective covers.
 
@@ -478,12 +485,11 @@ def lifted_projectives(p: int) -> dict[int, FpModule]:
     tensoring with a projective module yields projectives.  Keyed by the
     weight of that top.
     """
-    schema1 = Sl2Schema(p, 1)
     lib = ModuleLibrary(restricted_simples(p))
-    st2 = restricted_as_r2(steinberg(schema1))
+    st2 = _padded_simple(p, p - 1)  # the level-1 Steinberg module
     out = {p - 1: st2}
     for lam in range(p - 1):
-        parts = decompose(tensor(st2, restricted_as_r2(build_simple(schema1, p - 1 - lam))))
+        parts = decompose(tensor(st2, _padded_simple(p, p - 1 - lam)))
         key = simple_key(lam)
         found = [
             q
@@ -507,8 +513,7 @@ def hyper_simples(p: int) -> dict[str, FpModule]:
     for lam1 in range(p):
         twisted = frobenius_twist(build_simple(schema1, lam1))
         for lam0 in range(p):
-            mod = tensor(restricted_as_r2(build_simple(schema1, lam0)), twisted)
-            out[simple_key(lam0 + p * lam1)] = mod
+            out[simple_key(lam0 + p * lam1)] = tensor(_padded_simple(p, lam0), twisted)
     return out
 
 
@@ -703,7 +708,7 @@ def verify_dr2(p: int, seed: int = 0) -> CheckReport:
     """
     schema1 = Sl2Schema(p, 1)
     schema2 = Sl2Schema(p, 2)
-    st2 = restricted_as_r2(steinberg(schema1))
+    st2 = _padded_simple(p, p - 1)  # the level-1 Steinberg module
     rs = build_root_system(CartanSpec.from_type("A1"))
     cases = []
     for mu in range(p):

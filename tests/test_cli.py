@@ -1,5 +1,6 @@
 """CLI round trips, exit codes, and golden-file byte comparisons."""
 import argparse
+import enum
 import json
 import os
 import subprocess
@@ -7,15 +8,18 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vermalab
 import vermalab.cli
-from vermalab.cli import build_parser, main
+from vermalab.cli import build_parser, canon, main
 from vermalab.modules import parse_text
 from vermalab.sl2 import Sl2Schema
 
 GOLDEN = Path(__file__).parent / "golden"
+QUERIES = Path(__file__).parents[1] / "bench" / "queries.json"
 
 
 def run(capsys, argv):
@@ -331,8 +335,8 @@ def test_main_answers_as_the_top_level_parser_does(capsys, monkeypatch, case, js
         assert vermalab.cli._parse_args(argv) == build_parser().parse_args(argv)
 
 
-@pytest.mark.parametrize("verb", sorted(VERB_CALLS))
-def test_a_call_parses_its_arguments_once(capsys, monkeypatch, verb):
+def _argparse_calls(capsys, monkeypatch, argv):
+    """The progs of the parsers whose parse_known_args ran during main(argv)."""
     calls = []
     parse = argparse.ArgumentParser.parse_known_args
 
@@ -341,7 +345,36 @@ def test_a_call_parses_its_arguments_once(capsys, monkeypatch, verb):
         return parse(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    run(capsys, VERB_CALLS[verb])
+    run(capsys, argv)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_CALLS))
+def test_a_call_parses_its_arguments_once(capsys, monkeypatch, verb):
+    # a well-formed call is read from the verb's table, with no argparse
+    # pass; dump-module's --kind takes choices, which argparse alone checks
+    calls = _argparse_calls(capsys, monkeypatch, VERB_CALLS[verb])
+    assert calls == (["vermalab dump-module"] if verb == "dump-module" else [])
+
+
+# a call of each verb with a table, one flag abbreviated
+ABBREVIATED_CALLS = {
+    "depth": ["depth", "--type", "A2", "--p", "5", "--wei", "3,4"],
+    "regular": ["regular", "--car", "2,-1;-1,2", "--p", "5", "--r", "1", "--weight", "3,4"],
+    "psi": ["psi", "--ty", "B2", "--p", "3", "--r", "1", "--weight", "2,0"],
+    "classify": ["classify", "--type", "A2", "--p", "7", "--r", "1", "--weight", "1,1", "--js"],
+    "reduce": ["reduce", "--type", "A1", "--p", "5", "--r", "2", "--w", "9"],
+    "block": ["block", "--type", "A1", "--p", "5", "--r", "1", "--weight", "0", "--gam", "3"],
+    "verify-sl2": ["verify-sl2", "--p", "3", "--r", "1", "--se", "1"],
+    "verify-heisenberg": ["verify-heisenberg", "--r", "1", "--q", "3,5"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(ABBREVIATED_CALLS))
+def test_an_abbreviated_flag_goes_through_the_verbs_parser_once(capsys, monkeypatch, verb):
+    assert set(build_parser().verb_tables) == set(ABBREVIATED_CALLS)
+    calls = _argparse_calls(capsys, monkeypatch, ABBREVIATED_CALLS[verb])
     assert calls == [f"vermalab {verb}"]
 
 
@@ -406,3 +439,142 @@ def test_dump_module_errors(capsys):
         ["dump-module", "--p", "3", "--r", "2", "--kind", "simple", "--weight", "10"],
     )
     assert code == 2 and "no level-2 simple" in out
+
+
+def test_dump_module_reports_an_out_path_it_cannot_write(tmp_path, capsys):
+    out_path = tmp_path / "no-such-dir" / "z.txt"
+    argv = ["dump-module", "--p", "3", "--r", "1", "--weight", "1", "--out", str(out_path)]
+    code, out = run(capsys, argv)
+    assert (code, out) == (2, f"error: cannot write {out_path}: No such file or directory\n")
+    code, out = run(capsys, argv + ["--json"])
+    assert code == 2
+    assert json.loads(out) == {"error": f"cannot write {out_path}: No such file or directory"}
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**80).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 0.1])
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x7F, whitelist_categories=("Cc",)))
+    # subclasses, which json writes as their base type
+    | st.floats().map(np.float64)
+    | st.text().map(np.str_)
+    | st.booleans().map(int).map(enum.IntEnum("Bit", "ZERO ONE", start=0))
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+def test_canon_writes_what_json_writes(obj):
+    assert canon(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [np.int64(3), {1, 2}, object(), [1, {"a": np.bool_(True)}], {"a": (1, frozenset())}],
+    ids=["int64", "set", "object", "nested-bool_", "nested-frozenset"],
+)
+def test_canon_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError) as ours:
+        canon(obj)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(obj, sort_keys=True, indent=2)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_canon_takes_only_str_keys():
+    with pytest.raises(TypeError):
+        canon({1: "one"})
+
+
+def _recorded_argvs():
+    """Every recorded queries argv, each in --json and in text mode, with its
+    stratum and its place in that stratum."""
+    strata = json.loads(QUERIES.read_text())["strata"]
+    for name in sorted(strata):
+        for k, (argv, _) in enumerate(strata[name]):
+            tokens = argv.split()
+            yield name, k, tokens
+            yield name, k, [t for t in tokens if t != "--json"]
+
+
+def _mutations(tokens):
+    """Reorderings, respellings and malformed variants of one weight-verb argv."""
+    verb, rest = tokens[0], tokens[1:]
+    pairs = []  # [flag, value or None, spelled with "="]
+    i = 0
+    while i < len(rest):
+        flag, eq, value = rest[i].partition("=")
+        if eq or flag == "--json":
+            pairs.append([flag, value if eq else None, bool(eq)])
+            i += 1
+        else:
+            pairs.append([flag, rest[i + 1], False])
+            i += 2
+
+    def spell(ps):
+        out = [verb]
+        for flag, value, eq in ps:
+            if value is None:
+                out.append(flag)
+            elif eq:
+                out.append(f"{flag}={value}")
+            else:
+                out += [flag, value]
+        return out
+
+    def with_value(flag, value, eq):
+        return spell([[f, value, eq] if f == flag else [f, v, e] for f, v, e in pairs])
+
+    weight = next(v for f, v, _ in pairs if f == "--weight")
+    yield spell(pairs[::-1])
+    yield spell(pairs[1:] + pairs[:1])
+    yield spell([[f, v, not e] for f, v, e in pairs])
+    yield spell(pairs + [pairs[0]])
+    yield [t.replace("--weight", "--wei") for t in spell(pairs)]
+    yield with_value("--weight", weight if weight.startswith("-") else "-" + weight, False)
+    yield with_value("--weight", "-1,2", False)
+    yield with_value("--p", "-5", False)
+    yield with_value("--weight", "", True)
+    yield with_value("--weight", "--", True)
+    yield spell(pairs) + ["--json=1"]
+    yield spell(pairs[:1]) + ["--"] + spell(pairs[1:])[1:]
+    yield spell(pairs) + ["--"]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """The namespace, attribute order included, or the exit with its stdout and stderr."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code, *capsys.readouterr())
+    return ("namespace", list(vars(args).items()))
+
+
+def test_recorded_queries_parse_as_the_top_level_parser_parses_them(capsys):
+    # every recorded argv; the mutations of the first few of each stratum,
+    # and -h at either end of the first
+    parser = build_parser()
+    checked = 0
+    for stratum, k, tokens in _recorded_argvs():
+        argvs = [tokens]
+        if k < 6:
+            argvs += _mutations(tokens)
+        if k == 0:
+            argvs += [["-h", *tokens], [*tokens, "-h"]]
+        for argv in argvs:
+            got = _parse_outcome(capsys, vermalab.cli._parse_args, argv)
+            assert got == _parse_outcome(capsys, parser.parse_args, argv), argv
+            checked += 1
+    assert checked > 7_000

@@ -547,6 +547,32 @@ def test_decompose_reuses_its_endomorphism_basis(monkeypatch):
     assert len(calls) == 16
 
 
+def test_level2_simples_build_each_padded_simple_once(monkeypatch):
+    # from cold caches: p weight chains, each padded to level 2 once, p
+    # twists and p^2 tensors; 24 when the padded simple was built again
+    # for every high digit
+    p = 3
+    for name in ("_weight_chain", "_padded_simple"):
+        monkeypatch.setattr(vermalab.sl2, name, lru_cache(getattr(vermalab.sl2, name).__wrapped__))
+    checks = []
+    check = Sl2Schema.check
+
+    def counting(self, mod):
+        checks.append(self.r)
+        return check(self, mod)
+
+    monkeypatch.setattr(Sl2Schema, "check", counting)
+    simples = hyper_simples.__wrapped__(p)
+    assert len(checks) == 3 * p + p * p == 18
+    # the lifted covers pad the same simples: the top-weight one and the
+    # complements, none of them built or checked again
+    before = vermalab.sl2._padded_simple.cache_info()
+    lifted_projectives.__wrapped__(p)
+    after = vermalab.sl2._padded_simple.cache_info()
+    assert after.misses == before.misses and after.hits - before.hits == p
+    assert set(simples) == {simple_key(lam) for lam in range(p * p)}
+
+
 def test_battery_solves_each_hom_pair_once(monkeypatch):
     # with every table and the memo cold, the battery's suites solve 327
     # hom spaces, all distinct in content; 917 when every Hom(m, S) to a
