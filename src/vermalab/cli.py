@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 
 from .heisenberg import dimension_fit
 from .modules import Undecided, dump_text
-from .rootsys import CartanSpec, build_root_system, is_pr_regular, psi_set
+from .rootsys import CartanSpec, build_root_system, check_rank, is_pr_regular, psi_set
 from .sl2 import (
     Sl2Schema,
     build_simple,
@@ -134,17 +134,10 @@ def _cartan_spec(type_name: str | None, cartan: str | None) -> CartanSpec:
     raise ValueError("one of --type or --cartan is required")
 
 
-def _check_rank(rs, lam) -> None:
-    if len(lam) != rs.rank:
-        raise ValueError(
-            f"weight has {len(lam)} coordinates but the root system has rank {rs.rank}"
-        )
-
-
 def _checked_weight(args, rs) -> tuple[int, ...]:
     """--weight checked against the rank of `rs`, then --r, where the verb has one, checked >= 1."""
     lam = _parse_weight(args.weight)
-    _check_rank(rs, lam)
+    check_rank(rs, lam)
     if "r" in args and args.r < 1:
         raise ValueError("r must be >= 1")
     return lam
@@ -221,7 +214,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_block(args) -> int:
     rs, lam = _root_system_and_weight(args)
     gamma = _parse_weight(args.gamma)
-    _check_rank(rs, gamma)
+    check_rank(rs, gamma)
     inside = block_contains(rs, gamma, lam, args.p, args.r)
     _emit(
         args,

@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from .gf import _INT64_SAFE, is_prime
+from .modules import CertificateError
 
 Weight = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -160,6 +162,25 @@ class PositiveRoot:
         return sum(self.coeffs)
 
 
+class CosetFactorization(NamedTuple):
+    """W = W_J * R: every Weyl element is u * r for exactly one u in W_J, r in R.
+
+    W_J (`stabilizer`) is the stabilizer of the fundamental weight
+    omega_j of node j (`node`); it also fixes the coweight omega_j^v,
+    a positive multiple of which is the integer row `coweight` on weight
+    coordinates.  `representatives` holds one element r of each right
+    coset W_J * r, the first reached in the order of `weyl_array`.  The
+    `*_index` arrays give each element's position in `weyl_array`.
+    """
+
+    node: int
+    coweight: np.ndarray
+    stabilizer: np.ndarray
+    representatives: np.ndarray
+    stabilizer_index: np.ndarray
+    representative_index: np.ndarray
+
+
 @dataclass(frozen=True)
 class RootSystem:
     cartan: CartanSpec
@@ -186,7 +207,12 @@ class RootSystem:
     @cached_property
     def weyl_entry_bound(self) -> int:
         """The largest absolute entry of any Weyl group matrix."""
-        return int(np.abs(self.weyl_array).max())
+        return max(int(self.weyl_array.max()), -int(self.weyl_array.min()))
+
+    @cached_property
+    def coset_factorization(self) -> CosetFactorization:
+        """W = W_J * R through the smallest pair of orbits, certified; see `_factor_weyl`."""
+        return _factor_weyl(self)
 
     @cached_property
     def coroot_matrix(self) -> np.ndarray:
@@ -244,6 +270,79 @@ def _close_weyl(gens: np.ndarray) -> np.ndarray:
     return weyl
 
 
+def _factor_weyl(rs: RootSystem) -> CosetFactorization:
+    """Split W through the stabilizer W_J of one fundamental weight omega_j.
+
+    w fixes omega_j exactly when its column j is e_j.  The positive
+    coroots of the roots that involve alpha_j sum to 2 rho^v - 2 rho_J^v,
+    which pairs to 0 with alpha_i for i != j and positively with alpha_j:
+    a positive multiple c of omega_j^v, fixed by W_J and by nothing else,
+    so c * w names the right coset W_J * w (Humphreys, *Reflection Groups
+    and Coxeter Groups*, 1.10-1.12).  j minimizes |W_J| + |W| / |W_J|.
+    """
+    weyl = rs.weyl_array
+    # one column at a time: the queries that build W first are near the
+    # process's peak memory, so no (|W|, n, n) temporary is made here
+    sizes = [int(_fixes(weyl, j).sum()) for j in range(rs.rank)]
+    node = min(range(rs.rank), key=lambda j: sizes[j] + len(weyl) // sizes[j])
+    involves = [root.coeffs[node] != 0 for root in rs.positive_roots]
+    coweight = rs.coroot_matrix[involves].sum(axis=0)
+    stabilizer_index = np.flatnonzero(_fixes(weyl, node))
+    keys = (coweight @ weyl).tobytes()
+    width = len(keys) // len(weyl)
+    first = {}
+    for i in range(len(weyl)):
+        first.setdefault(keys[i * width:(i + 1) * width], i)
+    representative_index = np.array(list(first.values()))
+    factorization = CosetFactorization(
+        node, coweight, weyl[stabilizer_index], weyl[representative_index],
+        stabilizer_index, representative_index,
+    )
+    certify_factorization(weyl, factorization)
+    for part in factorization[1:]:
+        part.setflags(write=False)
+    return factorization
+
+
+def certify_factorization(weyl: np.ndarray, factorization: CosetFactorization) -> None:
+    """Raise CertificateError unless W_J is a group and the products u * r are W, each once.
+
+    The elements of W_J and of R are the rows of `weyl` at their indices,
+    distinct indices, so they are distinct elements of W.  W_J is the
+    stabilizer of omega_j, a group, when its elements fix omega_j and are
+    as many as the elements of W that do.  Its elements must also fix the
+    coweight row c, and the rows c * r must be distinct: then u r = u' r'
+    gives c r = c u r = c u' r' = c r', so r = r' and u = u'.  With
+    |W_J| * |R| = |W|, the products are |W| distinct elements of the
+    group W, which is all of it.  No product u * r is formed, so the
+    check costs a few small arrays.
+    """
+    node, coweight, stabilizer, reps, stabilizer_index, rep_index = factorization
+    for name, part, index in (("W_J", stabilizer, stabilizer_index), ("R", reps, rep_index)):
+        at = index.tolist()
+        if (
+            not all(0 <= i < len(weyl) for i in at)
+            or len(set(at)) != len(at)
+            or not np.array_equal(weyl[index], part)
+        ):
+            raise CertificateError(f"{name} is not a set of distinct elements of W")
+    if not _fixes(stabilizer, node).all() or len(stabilizer) != _fixes(weyl, node).sum():
+        raise CertificateError(f"W_J is not the stabilizer of omega_{node}")
+    if not (coweight @ stabilizer == coweight).all():
+        raise CertificateError(f"W_J moves the coweight of node {node}")
+    if len(set(map(tuple, (coweight @ reps).tolist()))) != len(reps):
+        raise CertificateError("two representatives lie in the same coset of W_J")
+    if len(stabilizer) * len(reps) != len(weyl):
+        raise CertificateError(
+            f"|W_J| * |R| = {len(stabilizer)} * {len(reps)} is not |W| = {len(weyl)}"
+        )
+
+
+def _fixes(ws: np.ndarray, j: int) -> np.ndarray:
+    """Which of the stacked matrices fix omega_j: those whose column j is e_j."""
+    return (ws[:, :, j] == np.eye(ws.shape[-1], dtype=ws.dtype)[j]).all(axis=1)
+
+
 @lru_cache(maxsize=None)
 def build_root_system(spec: CartanSpec) -> RootSystem:
     """Positive roots and Weyl group by reflection closure."""
@@ -290,6 +389,14 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
 
 # -- weight operations --------------------------------------------------
 
+def check_rank(rs: RootSystem, lam) -> None:
+    """Raise ValueError unless `lam` has one coordinate per simple root."""
+    if len(lam) != rs.rank:
+        raise ValueError(
+            f"weight has {len(lam)} coordinates but the root system has rank {rs.rank}"
+        )
+
+
 def add_weights(a: Weight, b: Weight) -> Weight:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -310,8 +417,10 @@ def shifted_pairings(rs: RootSystem, lam: Weight) -> list[int]:
 
     One product with `coroot_matrix`, in int64 when every partial sum is
     below 2^63 (each is at most rank * max|coroot entry| * max|lam + rho|),
-    and on exact Python ints otherwise.
+    and on exact Python ints otherwise.  Raises ValueError unless `lam`
+    has `rank` coordinates.
     """
+    check_rank(rs, lam)
     shifted = add_weights(lam, rs.rho)
     if rs.rank * rs.coroot_entry_bound * max(map(abs, shifted)) < _INT64_SAFE:
         return (rs.coroot_matrix @ np.array(shifted, dtype=np.int64)).tolist()

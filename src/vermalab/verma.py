@@ -22,6 +22,7 @@ from .rootsys import (
     Weight,
     add_weights,
     build_root_system,
+    check_rank,
     dot_action,
     is_good_prime,
     is_pr_regular,
@@ -174,24 +175,25 @@ class _Lattice:
     diag: tuple[int, ...]
     u: tuple[tuple[int, ...], ...]
 
-    def members(self, vs: np.ndarray) -> np.ndarray:
-        """Which rows of vs lie in the lattice, computed in vs's dtype.
+    def classes(self, vs: np.ndarray) -> np.ndarray:
+        """The class of each row of vs modulo the lattice, in vs's dtype.
 
-        v is in the lattice when U v is divisible by the Smith diagonal,
-        entry by entry, and vanishes past it.
+        Rows v and v' are congruent when U v and U v' agree modulo the
+        Smith diagonal entry by entry, and exactly past it, so a class is
+        U v with its first entries reduced.  The lattice's class is 0.
         """
         images = vs @ np.array(self.u, dtype=vs.dtype).T
         k = len(self.diag)
-        on_diag = images[:, :k] % np.array(self.diag, dtype=vs.dtype) == 0
-        return on_diag.all(axis=1) & (images[:, k:] == 0).all(axis=1)
+        images[:, :k] %= np.array(self.diag, dtype=vs.dtype)
+        return images
 
     def contains(self, v) -> bool:
-        return bool(self.members(np.array([v], dtype=object))[0])
+        return not self.classes(np.array([v], dtype=object)).any()
 
     @cached_property
-    def entry_bound(self) -> int:
-        """The largest absolute entry of U and of the Smith diagonal."""
-        return max(abs(x) for x in self.diag + sum(self.u, ()))
+    def u_bound(self) -> int:
+        """The largest absolute entry of U."""
+        return max(abs(x) for x in sum(self.u, ()))
 
 
 def translation_lattice(rs: RootSystem, dep: int | float, p: int, r: int) -> _Lattice:
@@ -217,26 +219,36 @@ def _translation_lattice(spec: CartanSpec, dep: int | float, p: int, r: int) -> 
 def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -> bool:
     """Is gamma in the block of lam at level r?
 
-    The block is the union over Weyl elements w of
-    (w . lam) + p^depth(lam) * (root lattice) + p^r * (weight lattice),
-    with the convention that p^depth vanishes at depth minus infinity.
-    Every w . lam comes from one product with the stacked Weyl group,
-    and one product with the lattice's U decides all of them.  The
-    products run in int64 when a bound on every intermediate is below
-    2^63, and on exact Python ints otherwise.
+    The block is the union over Weyl elements w of (w . lam) + L, with
+    L = p^depth(lam) * (root lattice) + p^r * (weight lattice) and the
+    convention that p^depth vanishes at depth minus infinity.  L is
+    W-stable, so with W = W_J * R (`RootSystem.coset_factorization`),
+    gamma + rho - u r (lam + rho) lies in L exactly when
+    u^-1 (gamma + rho) - r (lam + rho) does.  W_J is a group, so gamma is
+    in the block when the classes mod L of the u (gamma + rho), u in W_J,
+    meet those of the r (lam + rho), r in R.  Each side is one stacked
+    product, in int64 when a bound on every partial sum and the Smith
+    diagonal are below 2^63, and on exact Python ints otherwise.  Raises
+    ValueError unless both weights have `rank` coordinates.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
+    check_rank(rs, gamma)
     lattice = translation_lattice(rs, depth(rs, lam, p), p, r)
+    factorization = rs.coset_factorization
+    lifted = add_weights(gamma, rs.rho)
     n = rs.rank
-    # every partial sum of w(lam + rho) is at most n * max|w_ij| * max|lam + rho|,
-    # and every partial sum of U (gamma - w . lam) at most n * max|u_ij| times
-    # the bound on gamma - w . lam
-    moved_bound = n * rs.weyl_entry_bound * max(abs(x) for x in add_weights(lam, rs.rho)) + 1
-    diff_bound = max(abs(g) for g in gamma) + moved_bound
-    dtype = np.int64 if n * lattice.entry_bound * diff_bound < _INT64_SAFE else object
-    moved = dot_action(rs, rs.weyl_array.astype(dtype, copy=False), lam)
-    return bool(lattice.members(np.array(gamma, dtype=dtype) - moved).any())
+    # every partial sum of U w v, for w in W and v = gamma + rho or lam + rho,
+    # is at most n * max|u_ij| * n * max|w_ij| * max|v_i|; the classes are
+    # then reduced by the Smith diagonal, which must fit as well
+    size = max(map(abs, lifted + add_weights(lam, rs.rho)))
+    bound = max(n * n * lattice.u_bound * rs.weyl_entry_bound * size, max(lattice.diag))
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    ours = factorization.stabilizer.astype(dtype, copy=False) @ np.array(lifted, dtype=dtype)
+    reps = factorization.representatives.astype(dtype, copy=False)
+    theirs = dot_action(rs, reps, lam) + np.array(rs.rho, dtype=dtype)
+    keys = list(map(tuple, lattice.classes(np.concatenate((ours, theirs))).tolist()))
+    return not set(keys[:len(ours)]).isdisjoint(keys[len(ours):])
 
 
 # -- classification report ---------------------------------------------
@@ -292,9 +304,6 @@ def classify(spec: CartanSpec, lam: Weight, p: int, r: int) -> VermaReport:
     if p < 3 or not is_prime(p):
         raise ValueError("p must be an odd prime >= 3")
     rs = build_root_system(spec)
-    if len(lam) != rs.rank:
-        raise ValueError("weight length does not match the rank")
-
     dep = depth(rs, lam, p)
     projective = is_projective_verma(rs, lam, p, r)
     notes = []

@@ -129,14 +129,19 @@ def brute_depth(pairings, p, s_max=64):
 
 
 def brute_lattice_member(columns, v, bound):
-    """Is v an integer combination of the columns, searching |c_i| <= bound."""
+    """Is v an integer combination of the columns, searching |c_i| <= bound.
+
+    Every coefficient vector in the window is tried at once, as one
+    broadcast product, in int64 when no entry can reach 2^63 and on
+    Python ints otherwise.
+    """
     k = len(columns)
-    for coeffs in product(range(-bound, bound + 1), repeat=k):
-        cand = [sum(c * col[i] for c, col in zip(coeffs, columns))
-                for i in range(len(v))]
-        if cand == list(v):
-            return True
-    return False
+    size = k * bound * max((abs(x) for col in columns for x in col), default=0)
+    dtype = np.int64 if size + max(map(abs, v), default=0) < 2**63 else object
+    window = np.arange(-bound, bound + 1).astype(dtype)
+    coeffs = np.stack(np.meshgrid(*[window] * k, indexing="ij"), axis=-1).reshape(-1, k)
+    cand = coeffs @ np.array(columns, dtype=dtype)
+    return bool((cand == np.array(v, dtype=dtype)).all(axis=1).any())
 
 
 def _ext_gcd(a, b):

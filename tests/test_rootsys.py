@@ -214,6 +214,16 @@ def test_rho_pairings_are_one_on_simple_roots():
             assert pairing(rs, rs.rho, top) == dual_coxeter[name] - 1
 
 
+@pytest.mark.parametrize("name", TYPES)
+def test_shifted_pairings_refuse_a_weight_of_the_wrong_length(name):
+    rs = rs_of(name)
+    for lam in ((0,) * (rs.rank + 1), (0,) * (rs.rank - 1), (1, 1, 9)[: rs.rank] + (9,)):
+        with pytest.raises(ValueError, match=f"rank {rs.rank}$"):
+            shifted_pairings(rs, lam)
+        with pytest.raises(ValueError, match=f"rank {rs.rank}$"):
+            psi_set(rs, lam, 5, 1)
+
+
 @pytest.mark.parametrize("name", list(CLASSIFIED))
 def test_shifted_pairings_match_each_root(name):
     rs = rs_of(name)

@@ -12,6 +12,7 @@ from vermalab.rootsys import (
     CartanSpec,
     add_weights,
     build_root_system,
+    certify_factorization,
     dot_action,
     pairing,
     sub_weights,
@@ -340,6 +341,108 @@ BLOCK_TYPES = {
 }
 
 
+@pytest.mark.parametrize("name", list(BLOCK_TYPES))
+def test_coset_factorization_certifies(name):
+    rs = build_root_system(BLOCK_TYPES[name])
+    j, _, stabilizer, reps, _, _ = rs.coset_factorization
+    n = rs.rank
+    # W_J fixes omega_j: column j of each of its elements is e_j
+    assert (stabilizer[:, :, j] == np.eye(n, dtype=np.int64)[j]).all()
+    assert len(stabilizer) * len(reps) == len(rs.weyl)
+    products = {
+        tuple(map(tuple, np.array(u) @ np.array(r)))
+        for u in stabilizer.tolist()
+        for r in reps.tolist()
+    }
+    assert products == set(rs.weyl)
+    # j minimizes |W_J| + |R| over the nodes
+    for i in range(n):
+        size = sum(all(w[k][i] == int(k == i) for k in range(n)) for w in rs.weyl)
+        assert len(stabilizer) + len(reps) <= size + len(rs.weyl) // size
+
+
+@pytest.mark.parametrize("name, sizes", [("F4", (48, 24)), ("A5", (36, 20)), ("A1", (1, 2))])
+def test_coset_factorization_sizes(name, sizes):
+    factorization = build_root_system(BLOCK_TYPES[name]).coset_factorization
+    assert (len(factorization.stabilizer), len(factorization.representatives)) == sizes
+
+
+@pytest.mark.parametrize("name", ["A2", "F4"])
+def test_coset_factorization_refuses_a_duplicated_representative(name):
+    rs = build_root_system(BLOCK_TYPES[name])
+    factorization = rs.coset_factorization
+    reps, at = factorization.representatives, factorization.representative_index
+
+    def with_reps(index):
+        return factorization._replace(
+            representatives=rs.weyl_array[index], representative_index=index
+        )
+
+    duplicated = at.copy()
+    duplicated[-1] = at[0]
+    with pytest.raises(CertificateError, match="distinct elements of W"):
+        certify_factorization(rs.weyl_array, with_reps(duplicated))
+    # another element u * r of the first representative's coset, u != 1
+    other = (factorization.stabilizer[-1] @ reps[0]).tolist()
+    coset_mate = at.copy()
+    coset_mate[-1] = rs.weyl.index(tuple(map(tuple, other)))
+    assert coset_mate[-1] != at[0]
+    with pytest.raises(CertificateError, match="the same coset"):
+        certify_factorization(rs.weyl_array, with_reps(coset_mate))
+    with pytest.raises(CertificateError, match=r"\|W_J\| \* \|R\|"):
+        certify_factorization(rs.weyl_array, with_reps(at[1:]))
+    # W_J with an element that moves omega_j, or without one that fixes it
+    stabilizer, at = factorization.stabilizer, factorization.stabilizer_index
+    moved = np.concatenate([at[1:], factorization.representative_index[-1:]])
+    with pytest.raises(CertificateError, match="not the stabilizer"):
+        certify_factorization(
+            rs.weyl_array,
+            factorization._replace(stabilizer=rs.weyl_array[moved], stabilizer_index=moved),
+        )
+    with pytest.raises(CertificateError, match="not the stabilizer"):
+        certify_factorization(
+            rs.weyl_array,
+            factorization._replace(stabilizer=stabilizer[1:], stabilizer_index=at[1:]),
+        )
+
+
+@pytest.mark.parametrize("name", ["A2", "F4"])
+def test_coset_factorization_refuses_elements_outside_w_or_repeated(name):
+    rs = build_root_system(BLOCK_TYPES[name])
+    factorization = rs.coset_factorization
+    stabilizer, at = factorization.stabilizer, factorization.stabilizer_index
+    refused = []
+    # one element of W_J in place of another: the count still matches
+    doubled = at.copy()
+    doubled[-1] = at[0]
+    refused.append(
+        factorization._replace(stabilizer=rs.weyl_array[doubled], stabilizer_index=doubled)
+    )
+    # arrays that are not the rows of W at their indices
+    refused.append(factorization._replace(stabilizer=stabilizer * 2))
+    refused.append(factorization._replace(representatives=factorization.representatives[::-1]))
+    # an index past the end of W
+    past = at.copy()
+    past[-1] = len(rs.weyl_array)
+    refused.append(factorization._replace(stabilizer_index=past))
+    for tampered in refused:
+        with pytest.raises(CertificateError, match="distinct elements of W"):
+            certify_factorization(rs.weyl_array, tampered)
+
+
+def test_weights_of_the_wrong_length_are_refused():
+    for call in (
+        lambda: depth(RS3, (1, 1, 9), 5),
+        lambda: depth(RS3, (1,), 5),
+        lambda: block_contains(RS3, (5,), (1, 1), 5, 1),
+        lambda: block_contains(RS3, (5, 1, 0), (1, 1), 5, 1),
+        lambda: block_contains(RS3, (1, 1), (5,), 5, 1),
+        lambda: classify(SL3, (1, 1, 9), 5, 1),
+    ):
+        with pytest.raises(ValueError, match="rank 2"):
+            call()
+
+
 def block_cases(rs, p, r, rng, base=0):
     """(gamma, lam) pairs around `base`: a constructed member, the member
     moved by a unit vector, and a random weight."""
@@ -408,10 +511,17 @@ def test_block_contains_matches_weyl_walk_at_uneven_smith_diagonal(name, rounds)
                 assert block_contains(rs, gamma, lam, 3, r) == want, (gamma, lam, r)
 
 
+def int64_edge(rs, lattice):
+    """The largest max|v_i| over gamma + rho and lam + rho that block_contains
+    still decides in int64: n * max|u_ij| * n * max|w_ij| * max|v_i| < 2^63."""
+    return (2**63 - 1) // (rs.rank**2 * lattice.u_bound * rs.weyl_entry_bound)
+
+
 @pytest.mark.parametrize("name", list(BLOCK_TYPES))
 def test_block_contains_exact_beyond_int64(name, monkeypatch):
-    # coordinates near 2^61: w . lam and the product with U leave int64,
-    # so the decision runs on Python ints and must still agree
+    # lam + rho just past the int64 edge even for max|u_ij| = 1: the
+    # classes leave int64, so the decision runs on Python ints and must
+    # still agree
     import random
 
     rs = build_root_system(BLOCK_TYPES[name])
@@ -419,7 +529,9 @@ def test_block_contains_exact_beyond_int64(name, monkeypatch):
     seen = record_dtypes(monkeypatch)
     answers = []
     for p, r in ((3, 1), (5, 2), (7, 3), (11, 2)):
-        for gamma, lam in block_cases(rs, p, r, rng, base=2**61):
+        # block_cases keeps lam[0] within 3 p^r of base
+        base = -(-2**63 // (rs.rank**2 * rs.weyl_entry_bound)) + 3 * p**r
+        for gamma, lam in block_cases(rs, p, r, rng, base=base):
             want = walk_block_contains(rs, gamma, lam, p, r)
             assert block_contains(rs, gamma, lam, p, r) == want, (gamma, lam, p, r)
             answers.append(want)
@@ -428,16 +540,57 @@ def test_block_contains_exact_beyond_int64(name, monkeypatch):
 
 
 def test_block_contains_int64_bound_edge(monkeypatch):
-    # A1 at p = 3, r = 1 with depth(lam) = 1: the lattice is 3Z, with U = (+-1)
-    # and Smith diagonal (3), so the bound is 3 * (|gamma| + |lam + 1| + 1)
+    # A1 at p = 3, r = 1 with depth(lam) = 1: the lattice is 3Z, U = (+-1),
+    # every Weyl entry is +-1, so the bound is max(|gamma + 1|, |lam + 1|)
     lam = (2**60,)
-    below = (2**63 - 1) // 3 - (lam[0] + 1) - 1
+    assert int64_edge(RS2, translation_lattice(RS2, 1, 3, 1)) == 2**63 - 1
     seen = record_dtypes(monkeypatch)
-    for gamma in ((below,), (below + 1,), (-below,), (-below - 1,)):
+    for shifted in (2**63 - 1, 2**63, -(2**63 - 1), -(2**63)):
+        gamma = (shifted - 1,)
         want = walk_block_contains(RS2, gamma, lam, 3, 1)
         assert block_contains(RS2, gamma, lam, 3, 1) == want
         assert want == (gamma[0] % 3 in {lam[0] % 3, (-lam[0] - 2) % 3})
     assert seen == [np.dtype(np.int64), np.dtype(object)] * 2
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "F4"])
+def test_block_contains_exact_when_the_smith_diagonal_leaves_int64(name, monkeypatch):
+    # lam = -rho has depth minus infinity, so L = 3^40 * X: U = I and the
+    # Smith diagonal is 3^40 > 2^63 while every weight stays small
+    rs = build_root_system(BLOCK_TYPES[name])
+    lam = tuple(-1 for _ in rs.rho)
+    lattice = translation_lattice(rs, depth(rs, lam, 3), 3, 40)
+    assert max(lattice.diag) == 3**40 > 2**63 and lattice.u_bound == 1
+    seen = record_dtypes(monkeypatch)
+    answers = []
+    for gamma in (lam, tuple(3**40 * (i + 1) - 1 for i in range(rs.rank)), (0,) * rs.rank):
+        want = walk_block_contains(rs, gamma, lam, 3, 40)
+        assert block_contains(rs, gamma, lam, 3, 40) == want, gamma
+        answers.append(want)
+    assert answers == [True, True, False]
+    assert set(seen) == {np.dtype(object)}
+
+
+def test_block_contains_int64_bound_edge_g2(monkeypatch):
+    # G2 at p = 5, r = 1 with depth(lam) = 1: U = ((1, 0), (2, 1)) and the
+    # Weyl entries reach 3, so the edge is (2^63 - 1) // (4 * 2 * 3)
+    rs = build_root_system(BLOCK_TYPES["G2"])
+    lam = (1, 0)
+    lattice = translation_lattice(rs, depth(rs, lam, 5), 5, 1)
+    assert (lattice.u_bound, rs.weyl_entry_bound) == (2, 3)
+    edge = int64_edge(rs, lattice)
+    assert edge == (2**63 - 1) // 24
+    seen = record_dtypes(monkeypatch)
+    answers = []
+    for shifted in (edge, edge + 1, -edge, -edge - 1):
+        # gamma + rho = (shifted, t + 1) for every residue t of 5
+        for t in range(5):
+            gamma = (shifted - 1, t)
+            want = walk_block_contains(rs, gamma, lam, 5, 1)
+            assert block_contains(rs, gamma, lam, 5, 1) == want, gamma
+            answers.append(want)
+    assert seen == ([np.dtype(np.int64)] * 5 + [np.dtype(object)] * 5) * 2
+    assert True in answers and False in answers
 
 
 def test_block_contains_one_dot_action_and_cached_lattice(monkeypatch):
