@@ -214,7 +214,6 @@ def _cmd_reduce(args) -> int:
 def _cmd_block(args) -> int:
     rs, lam = _root_system_and_weight(args)
     gamma = _parse_weight(args.gamma)
-    check_rank(rs, gamma)
     inside = block_contains(rs, gamma, lam, args.p, args.r)
     _emit(
         args,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,50 +170,85 @@ def _nearest_quotient(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class _Lattice:
-    """Integer column lattice with a precomputed Smith form."""
+    """The v with U v divisible by `diag` entry by entry; U is unimodular,
+    read-only int64 and shared per Cartan matrix, with max|U| = `u_bound`."""
 
     diag: tuple[int, ...]
-    u: tuple[tuple[int, ...], ...]
+    u: np.ndarray
+    u_bound: int
 
     def classes(self, vs: np.ndarray) -> np.ndarray:
         """The class of each row of vs modulo the lattice, in vs's dtype.
 
-        Rows v and v' are congruent when U v and U v' agree modulo the
-        Smith diagonal entry by entry, and exactly past it, so a class is
-        U v with its first entries reduced.  The lattice's class is 0.
+        A class is U v reduced entry by entry; the lattice's class is 0.
         """
-        images = vs @ np.array(self.u, dtype=vs.dtype).T
-        k = len(self.diag)
-        images[:, :k] %= np.array(self.diag, dtype=vs.dtype)
+        images = vs @ self.u.T.astype(vs.dtype, copy=False)
+        images %= np.array(self.diag, dtype=vs.dtype)
         return images
 
     def contains(self, v) -> bool:
         return not self.classes(np.array([v], dtype=object)).any()
 
-    @cached_property
-    def u_bound(self) -> int:
-        """The largest absolute entry of U."""
-        return max(abs(x) for x in sum(self.u, ()))
+
+def certify_smith(matrix, diag, u) -> None:
+    """Raise CertificateError unless U * matrix = diag(diag) * M with M unimodular.
+
+    Checked on exact integers: |det U| = 1, row i of U * matrix is
+    divisible by diag_i, and the product of the |diag_i| is |det matrix|.
+    Together these make M integral with |det M| = 1.
+    """
+    n = len(matrix)
+    if abs(integer_det(u)) != 1:
+        raise CertificateError("the Smith transform U is not unimodular")
+    if len(diag) != n or math.prod(map(abs, diag)) != abs(integer_det(matrix)):
+        raise CertificateError("the Smith diagonal does not multiply to |det|")
+    for row, s in zip(u, diag):
+        image = [sum(a * matrix[t][j] for t, a in enumerate(row)) for j in range(n)]
+        if any(x % s for x in image):
+            raise CertificateError(f"a row of U * matrix is not divisible by {s}")
+
+
+def integer_det(m) -> int:
+    """The determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination: every division is exact."""
+    m = [list(row) for row in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+@lru_cache(maxsize=None)
+def _cartan_smith(spec: CartanSpec) -> tuple[tuple[int, ...], np.ndarray, int, np.ndarray]:
+    """The certified Smith diagonal s and transform U of the Cartan matrix,
+    max|U|, and the identity; both matrices read-only int64."""
+    diag, u = smith_diagonalize(spec.matrix)
+    certify_smith(spec.matrix, diag, u)
+    u, ident = np.array(u, dtype=np.int64), np.eye(spec.rank, dtype=np.int64)
+    u.flags.writeable = ident.flags.writeable = False
+    return tuple(diag), u, int(np.abs(u).max()), ident
 
 
 def translation_lattice(rs: RootSystem, dep: int | float, p: int, r: int) -> _Lattice:
-    """The lattice p^depth * (root lattice) + p^r * (weight lattice)."""
-    return _translation_lattice(rs.cartan, dep, p, r)
+    """The lattice L = p^depth * (root lattice) + p^r * (weight lattice).
 
-
-@lru_cache(maxsize=1024)
-def _translation_lattice(spec: CartanSpec, dep: int | float, p: int, r: int) -> _Lattice:
-    n = spec.rank
-    cols = []
-    if dep != NEG_INFINITY:
-        scale = p ** int(dep)
-        for j in range(n):
-            cols.append([scale * spec.matrix[i][j] for i in range(n)])
-    for i in range(n):
-        cols.append([p**r if t == i else 0 for t in range(n)])
-    m = [[col[i] for col in cols] for i in range(n)]
-    diag, u = smith_diagonalize(m)
-    return _Lattice(tuple(diag), tuple(tuple(row) for row in u))
+    The root lattice is C Z^n, C the Cartan matrix, so with U C V = diag(s)
+    U L is the sum of the gcd(p^d s_i, p^r) Z at depth d < r.  At depth
+    minus infinity, or d >= r, L = p^r Z^n and U = I.
+    """
+    s, u, u_bound, ident = _cartan_smith(rs.cartan)
+    if dep == NEG_INFINITY or dep >= r:
+        return _Lattice((p**r,) * rs.rank, ident, 1)
+    d = int(dep)
+    return _Lattice(tuple(p**d * math.gcd(x, p ** (r - d)) for x in s), u, u_bound)
 
 
 def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -> bool:
@@ -227,8 +262,8 @@ def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -
     u^-1 (gamma + rho) - r (lam + rho) does.  W_J is a group, so gamma is
     in the block when the classes mod L of the u (gamma + rho), u in W_J,
     meet those of the r (lam + rho), r in R.  Each side is one stacked
-    product, in int64 when a bound on every partial sum and the Smith
-    diagonal are below 2^63, and on exact Python ints otherwise.  Raises
+    product, in int64 when a bound on every partial sum and the moduli of
+    L are below 2^63, and on exact Python ints otherwise.  Raises
     ValueError unless both weights have `rank` coordinates.
     """
     if r < 1:
@@ -240,7 +275,7 @@ def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -
     n = rs.rank
     # every partial sum of U w v, for w in W and v = gamma + rho or lam + rho,
     # is at most n * max|u_ij| * n * max|w_ij| * max|v_i|; the classes are
-    # then reduced by the Smith diagonal, which must fit as well
+    # then reduced by the moduli of L, which must fit as well
     size = max(map(abs, lifted + add_weights(lam, rs.rho)))
     bound = max(n * n * lattice.u_bound * rs.weyl_entry_bound * size, max(lattice.diag))
     dtype = np.int64 if bound < _INT64_SAFE else object

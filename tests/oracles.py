@@ -12,6 +12,8 @@ from itertools import product
 
 import numpy as np
 
+from vermalab.verma import smith_diagonalize
+
 
 # -- prime field arithmetic on list-of-list matrices ---------------------
 
@@ -231,6 +233,16 @@ def brute_weyl_group(spec):
     return tuple(order)
 
 
+def translation_columns(spec, dep, p, r):
+    """The generators of p^dep * (root lattice) + p^r * (weight lattice) in
+    weight coordinates: p^dep times each column of the Cartan matrix (none
+    at dep = None, depth minus infinity), then p^r times each unit vector."""
+    a = spec.matrix
+    n = len(a)
+    cols = [] if dep is None else [[p**dep * a[i][j] for i in range(n)] for j in range(n)]
+    return cols + [[p**r * int(t == i) for t in range(n)] for i in range(n)]
+
+
 def walk_block_contains(rs, gamma, lam, p, r):
     """Block membership by walking the Weyl group one element at a time.
 
@@ -241,23 +253,34 @@ def walk_block_contains(rs, gamma, lam, p, r):
     Cartan matrix and the positive roots are used.
     """
     n = rs.rank
-    a = rs.cartan.matrix
     shifted = [x + h for x, h in zip(lam, rs.rho)]
     pairings = [
         sum(c * x for c, x in zip(root.coroot_coeffs, shifted))
         for root in rs.positive_roots
     ]
     dep = brute_depth(pairings, p, s_max=256)
-    columns = []
-    if dep is not None:
-        columns += [[p**dep * a[i][j] for i in range(n)] for j in range(n)]
-    columns += [[p**r if t == i else 0 for t in range(n)] for i in range(n)]
-    echelon = lattice_echelon(columns)
+    echelon = lattice_echelon(translation_columns(rs.cartan, dep, p, r))
     for w in brute_weyl_group(rs.cartan):
         moved = [sum(w[i][j] * shifted[j] for j in range(n)) - rs.rho[i] for i in range(n)]
         if echelon_contains(echelon, [g - m for g, m in zip(gamma, moved)]):
             return True
     return False
+
+
+def rational_inverse(M):
+    """The inverse of a square integer matrix, by Gauss-Jordan over the rationals."""
+    n = len(M)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(M)]
+    for c in range(n):
+        pr = next(i for i in range(c, n) if aug[i][c] != 0)
+        aug[c], aug[pr] = aug[pr], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
 
 
 def positive_definite(M):
@@ -495,3 +518,13 @@ def reference_radical_chain(mats, field):
         ]
         k += 1
     return current
+
+
+def reference_translation_lattice(spec, dep, p, r):
+    """(diag, U) from one Smith reduction of the n x 2n matrix of
+    translation_columns, the construction that reading every lattice off
+    one Smith form of the Cartan matrix replaced: v lies in the lattice
+    exactly when (U v)_i is divisible by diag_i for every i."""
+    cols = translation_columns(spec, dep, p, r)
+    n = len(spec.matrix)
+    return smith_diagonalize([[col[i] for col in cols] for i in range(n)])

@@ -207,6 +207,11 @@ def test_input_errors_exit_two(capsys):
     code, out = run(capsys, ["depth", "--type", "A1", "--p", "5", "--weight", "1,2"])
     assert code == 2 and "rank" in out
     code, out = run(
+        capsys,
+        ["block", "--type", "A1", "--p", "5", "--r", "1", "--weight", "1", "--gamma", "1,2"],
+    )
+    assert (code, out) == (2, "error: weight has 2 coordinates but the root system has rank 1\n")
+    code, out = run(
         capsys, ["depth", "--type", "A2", "--cartan", "2", "--p", "5", "--weight", "1"]
     )
     assert (code, out) == (2, "error: give one of --type or --cartan, not both\n")

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vermalab.verma
-from oracles import brute_depth, brute_lattice_member, walk_block_contains
+from oracles import (
+    _det,
+    brute_depth,
+    brute_lattice_member,
+    rational_inverse,
+    reference_translation_lattice,
+    translation_columns,
+    walk_block_contains,
+)
 from vermalab.modules import CertificateError
 from vermalab.rootsys import (
     CartanSpec,
@@ -28,9 +38,11 @@ from vermalab.verma import (
     VermaReport,
     ar_position_for_simple,
     block_contains,
+    certify_smith,
     classify,
     depth,
     depth_reduce,
+    integer_det,
     is_projective_verma,
     smith_diagonalize,
     translation_lattice,
@@ -572,11 +584,14 @@ def test_block_contains_exact_when_the_smith_diagonal_leaves_int64(name, monkeyp
 
 
 def test_block_contains_int64_bound_edge_g2(monkeypatch):
-    # G2 at p = 5, r = 1 with depth(lam) = 1: U = ((1, 0), (2, 1)) and the
-    # Weyl entries reach 3, so the edge is (2^63 - 1) // (4 * 2 * 3)
+    # G2 at p = 5, r = 2 with depth(lam) = 1 < r: U is the Smith transform
+    # ((1, 0), (2, 1)) of the Cartan matrix and the Weyl entries reach 3,
+    # so the edge is (2^63 - 1) // (4 * 2 * 3)
     rs = build_root_system(BLOCK_TYPES["G2"])
     lam = (1, 0)
-    lattice = translation_lattice(rs, depth(rs, lam, 5), 5, 1)
+    assert depth(rs, lam, 5) == 1
+    lattice = translation_lattice(rs, 1, 5, 2)
+    assert lattice.u.tolist() == [[1, 0], [2, 1]]
     assert (lattice.u_bound, rs.weyl_entry_bound) == (2, 3)
     edge = int64_edge(rs, lattice)
     assert edge == (2**63 - 1) // 24
@@ -586,14 +601,15 @@ def test_block_contains_int64_bound_edge_g2(monkeypatch):
         # gamma + rho = (shifted, t + 1) for every residue t of 5
         for t in range(5):
             gamma = (shifted - 1, t)
-            want = walk_block_contains(rs, gamma, lam, 5, 1)
-            assert block_contains(rs, gamma, lam, 5, 1) == want, gamma
+            want = walk_block_contains(rs, gamma, lam, 5, 2)
+            assert block_contains(rs, gamma, lam, 5, 2) == want, gamma
             answers.append(want)
     assert seen == ([np.dtype(np.int64)] * 5 + [np.dtype(object)] * 5) * 2
     assert True in answers and False in answers
 
 
 def test_block_contains_one_dot_action_and_cached_lattice(monkeypatch):
+    # every lattice of one Cartan matrix comes from its one Smith form
     calls = {"dot_action": 0, "smith_diagonalize": 0}
     for name in calls:
         real = getattr(vermalab.verma, name)
@@ -603,12 +619,80 @@ def test_block_contains_one_dot_action_and_cached_lattice(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(vermalab.verma, name, counting)
-    vermalab.verma._translation_lattice.cache_clear()
+    vermalab.verma._cartan_smith.cache_clear()
     rs = build_root_system(BLOCK_TYPES["F4"])
     lam = (43, 87, 109, 65)
-    for gamma in ((54, 87, 109, 76), (55, 87, 109, 76)):
-        block_contains(rs, gamma, lam, 11, 1)
-    assert calls == {"dot_action": 2, "smith_diagonalize": 1}
+    # (p, r) with depth(lam) = 2 > r, 2 < r, 1 < r and 1 = r
+    levels = ((11, 1), (11, 3), (5, 2), (3, 1))
+    assert [depth(rs, lam, p) for p, _ in levels] == [2, 2, 1, 1]
+    for p, r in levels:
+        for gamma in ((54, 87, 109, 76), (55, 87, 109, 76)):
+            block_contains(rs, gamma, lam, p, r)
+    assert calls == {"dot_action": 2 * len(levels), "smith_diagonalize": 1}
+
+
+def test_integer_det_matches_rational_elimination():
+    import random
+
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            m[-1] = list(m[0])
+        assert integer_det(m) == _det([[Fraction(x) for x in row] for row in m]), m
+
+
+@pytest.mark.parametrize("name", list(BLOCK_TYPES))
+def test_certify_smith_rejects_a_tampered_transform_or_diagonal(name):
+    a = BLOCK_TYPES[name].matrix
+    diag, u = smith_diagonalize(a)
+    certify_smith(a, diag, u)
+    for i in range(len(a)):
+        doubled = [row[:] for row in u]
+        doubled[i] = [2 * x for x in u[i]]
+        with pytest.raises(CertificateError, match="not unimodular"):
+            certify_smith(a, diag, doubled)
+        for p in (3, 5):
+            scaled = list(diag)
+            scaled[i] *= p
+            with pytest.raises(CertificateError, match="multiply to"):
+                certify_smith(a, scaled, u)
+
+
+def test_certify_smith_rejects_a_unimodular_u_that_misses_the_diagonal():
+    # A2: U = ((1, 0), (2, 1)) and diag (-1, 3); row 1 replaced by (3, 1)
+    # keeps det U = 1, but sends the Cartan matrix to (5, -1), not 3 * Z^2
+    a = BLOCK_TYPES["A2"].matrix
+    diag, u = smith_diagonalize(a)
+    assert (diag, u) == ([-1, 3], [[1, 0], [2, 1]])
+    with pytest.raises(CertificateError, match="not divisible by 3"):
+        certify_smith(a, diag, [[1, 0], [3, 1]])
+
+
+@pytest.mark.parametrize("name", list(BLOCK_TYPES))
+def test_translation_lattice_matches_a_smith_reduction_of_its_generators(name):
+    # each lattice read off the Smith form of the Cartan matrix equals the
+    # one a Smith reduction of its n x 2n generator matrix gives: the same
+    # index, and the generators of each lie in the other
+    spec = BLOCK_TYPES[name]
+    rs = build_root_system(spec)
+    n = rs.rank
+    for p, r in itertools.product((3, 5, 7, 11), (1, 2, 3)):
+        for dep in [*range(1, r + 2), NEG_INFINITY]:
+            lattice = translation_lattice(rs, dep, p, r)
+            finite = None if dep == NEG_INFINITY else dep
+            diag, u = reference_translation_lattice(spec, finite, p, r)
+            assert len(diag) == n
+            assert math.prod(lattice.diag) == math.prod(map(abs, diag)), (dep, p, r)
+            theirs = np.array(translation_columns(spec, finite, p, r), dtype=object)
+            assert not lattice.classes(theirs).any(), (dep, p, r)
+            inverse = rational_inverse(lattice.u.tolist())
+            assert all(x.denominator == 1 for row in inverse for x in row)
+            for j, g in enumerate(lattice.diag):
+                ours = [g * int(inverse[i][j]) for i in range(n)]
+                images = [sum(c * x for c, x in zip(row, ours)) for row in u]
+                assert all(y % m == 0 for y, m in zip(images, diag)), (dep, p, r, ours)
 
 
 # -- classify ------------------------------------------------------------
