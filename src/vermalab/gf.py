@@ -304,10 +304,8 @@ class GF:
         R, pivots = self.rref(A)
         free = [c for c in range(cols) if c not in pivots]
         basis = self.zeros(cols, len(free))
-        for idx, fc in enumerate(free):
-            basis[fc, idx] = 1
-            for prow, pc in enumerate(pivots):
-                basis[pc, idx] = self.neg(R[prow, fc])
+        basis[free, range(len(free))] = 1
+        basis[pivots] = self.neg(R[: len(pivots), free])
         return basis
 
     def solve(self, A, B):

@@ -4,9 +4,10 @@ Tuples (v_0, .., v_{r-1}) in the 2r+1 dimensional Heisenberg Lie
 algebra commute exactly when the 2 x r matrix collecting their two
 non-central coordinate rows has all 2 x 2 minors zero, so the count
 over F_q is q^r (free central coordinates) times the number of rank
-at most one coordinate matrices.  The enumeration here checks the
-minors directly, a block of vectors at a time; the closed form is kept
-separate so the two can be played against each other in tests.
+at most one coordinate matrices.  The enumeration here decides every
+minor of every pair through bit-packed tables, one bit per vector y, so
+a block of x rows meets 64 values of y in one word; the closed form is
+kept separate so the two can be played against each other in tests.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from .gf import GF
 from .modules import CertificateError
 
 ENUMERATION_BUDGET = 10**9
-# cells of one (x rows) x (all y) comparison block in count_points
-_BLOCK_CELLS = 1 << 15
+# uint64 words of one (x rows) x (all y, 64 to a word) block in count_points
+_BLOCK_WORDS = 1 << 12
 
 
 class BudgetExceeded(ValueError):
@@ -51,15 +52,19 @@ def count_points(r: int, q: int) -> PointCount:
     those with every minor x_i y_j - x_j y_i equal to zero, and scales
     by q^r for the central coordinates.
 
-    For each coordinate j a table times[j][a, y] = a * y_j holds the
-    product of every field element a with every vector y, so the minor
-    vanishes exactly when times[j][x_i, y] == times[i][x_j, y].  The
-    field multiplies through ``GF.mul``, so F_{p^2} works unchanged.  The
-    pairs are compared a block of about 2^15 at a time: a block of x
-    rows against all y.  The r tables hold r * q^{r+1} entries of the
-    smallest unsigned type that holds q - 1; under the enumeration
-    budget that is at most about 10 MB (r = 2, q = 173).  For r = 1
-    there is no minor, every pair counts, and no table is built.
+    For each pair of coordinates i < j a packed table T_ij holds, for
+    every (a, b) in F_q^2, one bit per vector y: bit y is set when
+    a y_j = b y_i.  A block of x rows ANDs T_ij[x_i, x_j] over the
+    pairs and counts the set bits, so every minor of every pair is
+    decided, 64 values of y to a word.  The products come from the
+    q x q table of ``GF.mul``, so F_{p^2} works unchanged.  The bits of
+    T_ij[a, b] depend only on the line of (a, b) through 0 (see
+    ``_lines``), so T_ij keeps one row of ceil(q^r / 64) words per line
+    and one for (0, 0): q + 2 rows.  Under the enumeration budget the
+    largest tables take about 0.37 MB (r = 3, q = 31) and 0.32 MB
+    (r = 4, q = 13); building them passes through one bool array of
+    about (q + 2) q^r bytes, largest at r = 2, q = 173 (5.2 MB).  For
+    r = 1 there is no minor, every pair counts, and no table is built.
     """
     if r < 1:
         raise ValueError(f"r = {r} must be at least 1")
@@ -71,24 +76,55 @@ def count_points(r: int, q: int) -> PointCount:
     n = q**r
     if r == 1:
         return PointCount(q=q, r=r, count=q * n * n)
-    # all of F_q^r in lexicographic order, one row per vector
-    vectors = np.indices((q,) * r).reshape(r, n).T
-    dtype = np.min_scalar_type(q - 1)
-    times = []
-    for j in range(r):
-        table = np.empty((q, n), dtype=dtype)
-        for a in range(q):
-            table[a] = f.mul(a, vectors[:, j])
-        times.append(table)
-    rows = max(1, _BLOCK_CELLS // n)
+    elements = np.arange(q)
+    # left in int64: in uint8 the comparisons below would touch about 64 KB
+    # of numpy code that a process answering weight queries leaves unloaded
+    times = f.mul(elements[:, None], elements)
+    line, a, b = _lines(times)
+    on_a, on_b, k = times[a], times[b], len(a)
+    # all of F_q^r in lexicographic order, one column per vector
+    vectors = np.indices((q,) * r, dtype=np.min_scalar_type(q - 1)).reshape(r, n)
+    words = -(-n // 64)
+    bits = np.zeros((k, 64 * words), dtype=bool)
+    grid = bits[:, :n].reshape((k,) + (q,) * r)
+    pairs = list(combinations(range(r), 2))
+    tables = []
+    for i, j in pairs:
+        # bit y of row k is a_k y_j = b_k y_i
+        y_i, y_j = [k] + [1] * r, [k] + [1] * r
+        y_i[1 + i] = y_j[1 + j] = q
+        np.equal(on_a.reshape(y_j), on_b.reshape(y_i), out=grid)
+        tables.append(np.packbits(bits, axis=1).view(np.uint64))
+    rows = max(1, _BLOCK_WORDS // words)
     good = 0
     for start in range(0, n, rows):
-        xs = vectors[start : start + rows]
-        commuting = np.ones((len(xs), n), dtype=bool)
-        for i, j in combinations(range(r), 2):
-            commuting &= times[j][xs[:, i]] == times[i][xs[:, j]]
-        good += int(np.count_nonzero(commuting))
+        xs = vectors[:, start : start + rows]
+        commuting = tables[0][line[xs[0], xs[1]]]
+        for (i, j), table in zip(pairs[1:], tables[1:]):
+            commuting &= table[line[xs[i], xs[j]]]
+        good += int(np.bitwise_count(commuting).sum())
     return PointCount(q=q, r=r, count=n * good)
+
+
+def _lines(times):
+    """Group the (a, b) in F_q^2 by the (u, v) that make a v - b u vanish.
+
+    Returns line[a, b] and arrays a, b with (a[k], b[k]) in group k, so
+    that a v = b u holds exactly when a[line[a, b]] v = b[line[a, b]] u.
+    Group 0 is (0, 0) alone, where every (u, v) works; groups 1 to q + 1
+    are the lines through 0.  On line 1, through (0, 1), b u vanishes
+    when u = 0; for a != 0, a v = b u is v = c u with c = b / a, as for
+    (1, c) on line 2 + c.
+    """
+    q = len(times)
+    line = np.empty((q, q), dtype=np.intp)
+    line[0] = 1
+    line[0, 0] = 0
+    # (a, a c) lies on line 2 + c
+    line[np.arange(1, q)[:, None], times[1:]] = 2 + np.arange(q)
+    a = np.array([0, 0] + [1] * q)
+    b = np.array([0, 1] + list(range(q)))
+    return line, a, b
 
 
 def closed_form(r: int, q: int) -> int:

@@ -295,10 +295,11 @@ def positive_definite(M):
 
 
 def _det(M):
+    """Exact determinant by rational elimination; integer entries become Fractions."""
     n = len(M)
     if n == 0:
         return Fraction(1)
-    M = [row[:] for row in M]
+    M = [[Fraction(x) for x in row] for row in M]
     det = Fraction(1)
     for c in range(n):
         pr = next((i for i in range(c, n) if M[i][c] != 0), None)
@@ -385,6 +386,19 @@ def random_matrix(field, rng, rows, cols):
 # Unlike the oracles above, these run on the package's own field
 # arithmetic: they are the straightforward forms that faster code in the
 # package replaced, and pin that code to the same answers.
+
+def reference_nullspace(f, A):
+    """The nullspace basis of A filled one entry at a time (the fill
+    that one indexed assignment replaced)."""
+    R, pivots = f.rref(A)
+    free = [c for c in range(A.shape[1]) if c not in pivots]
+    basis = f.zeros(A.shape[1], len(free))
+    for idx, fc in enumerate(free):
+        basis[fc, idx] = 1
+        for prow, pc in enumerate(pivots):
+            basis[pc, idx] = f.neg(R[prow, fc])
+    return basis
+
 
 def reference_spin_up(m):
     """The spin plan of m, computed with two echelon forms per layer and

@@ -57,6 +57,13 @@ def test_golden_heisenberg(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "r, qs, name", [("3", "3,5,7,11,13", "heisenberg_r3.json"), ("4", "3,5,7", "heisenberg_r4.json")]
+)
+def test_golden_heisenberg_past_rank_two(capsys, r, qs, name):
+    check_golden(capsys, ["verify-heisenberg", "--r", r, "--qs", qs, "--json"], name)
+
+
 def test_golden_verify_sl2(capsys):
     check_golden(
         capsys,

@@ -147,6 +147,21 @@ def test_nullspace_annihilates(F, n, m, seed):
         assert F.rank(N) == N.shape[1]
 
 
+def test_nullspace_matches_the_entrywise_fill():
+    rng = np.random.default_rng(19)
+    for F in (GF(3), GF(7), GF(3, 2), GF(5, 2)):
+        for _ in range(40):
+            n, m = rng.integers(1, 8, size=2)
+            A = oracles.random_matrix(F, rng, n, m)
+            if rng.random() < 0.3:
+                A[:, : m // 2] = 0
+            if rng.random() < 0.1:
+                A[:] = 0
+            N = F.nullspace(A)
+            want = oracles.reference_nullspace(F, A)
+            assert N.dtype == want.dtype and np.array_equal(N, want), (F, A)
+
+
 @settings(max_examples=40)
 @given(fields, st.integers(1, 6), st.integers(0, 10**6))
 def test_inverse_roundtrip(F, n, seed):

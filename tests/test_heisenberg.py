@@ -69,15 +69,47 @@ LOOP_SIZES = [
 def test_count_matches_minor_loop():
     for r, q in LOOP_SIZES:
         assert count_points(r, q).count == minor_loop_count(r, q), (r, q)
-    # among them, sizes whose vectors split into several blocks, the last one short
+    # among them, sizes whose x rows split into several blocks, the last one short
     for r, q in [(2, 25), (3, 9), (4, 7)]:
-        n, rows = q**r, vermalab.heisenberg._BLOCK_CELLS // q**r
+        n = q**r
+        rows = vermalab.heisenberg._BLOCK_WORDS // -(-n // 64)
         assert (r, q) in LOOP_SIZES and n > rows and n % rows != 0
+
+
+def test_lines_group_every_minor():
+    # every (a, b) has the vanishing pattern of the chosen point on its line,
+    # and the q + 2 lines have q + 2 different patterns
+    for q in (2, 3, 5, 7, 9, 25):
+        f = GF.from_q(q)
+        e = np.arange(q)
+        times = f.mul(e[:, None], e)
+        line, a, b = vermalab.heisenberg._lines(times)
+        assert len(a) == len(b) == q + 2
+        assert sorted(set(line.ravel().tolist())) == list(range(q + 2))
+        u, v = e[:, None], e[None, :]
+        patterns = [f.sub(f.mul(int(a[k]), v), f.mul(int(b[k]), u)) == 0 for k in range(q + 2)]
+        assert len({p.tobytes() for p in patterns}) == q + 2
+        for x, y in product(range(q), repeat=2):
+            zero = f.sub(f.mul(x, v), f.mul(y, u)) == 0
+            assert np.array_equal(zero, patterns[line[x, y]]), (q, x, y)
 
 
 def test_count_matches_closed_form_at_query_sizes():
     for r, q in [(2, 49), (3, 13), (4, 7)]:
         assert count_points(r, q).count == closed_form(r, q)
+
+
+def test_count_peak_memory_at_query_sizes():
+    # bounds: the peaks of the per-coordinate product tables counted before
+    for r, q, kb in [(2, 49, 390), (3, 13, 256), (4, 7, 264)]:
+        count_points(r, q)
+        tracemalloc.start()
+        try:
+            count_points(r, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= kb * 1024, (r, q, peak)
 
 
 def test_r1_builds_no_table():

@@ -643,6 +643,13 @@ def test_integer_det_matches_rational_elimination():
         assert integer_det(m) == _det([[Fraction(x) for x in row] for row in m]), m
 
 
+def test_rational_det_is_exact_on_integer_entries():
+    # dividing ints with / gave -3.999999999999999 here
+    m = [[0, 3, 1], [-2, 3, 3], [-2, -4, 0]]
+    assert _det(m) == -4 == integer_det(m)
+    assert isinstance(_det(m), Fraction)
+
+
 @pytest.mark.parametrize("name", list(BLOCK_TYPES))
 def test_certify_smith_rejects_a_tampered_transform_or_diagonal(name):
     a = BLOCK_TYPES[name].matrix
