@@ -20,12 +20,20 @@ def main() -> int:
     parser.add_argument("--radius", type=int, default=12, help="half-width of the sweep box")
     args = parser.parse_args()
 
-    spec = CartanSpec.from_type(args.type)
     window = range(-args.radius, args.radius + 1)
+    try:
+        spec = CartanSpec.from_type(args.type)
+        reports = [
+            (lam, classify(spec, lam, args.p, args.r))
+            for lam in itertools.product(window, repeat=spec.rank)
+        ]
+    except ValueError as e:
+        # bad input, as vermalab reports it: one line and exit 2
+        print(f"error: {e}")
+        return 2
     print(f"type {args.type}  p {args.p}  r {args.r}")
     print(f"{'weight':>12s} {'depth':>6s} {'proj':>5s} {'dimV':>5s} {'cx':>4s}  position")
-    for lam in itertools.product(window, repeat=spec.rank):
-        rep = classify(spec, lam, args.p, args.r)
+    for lam, rep in reports:
         d = rep.to_json_dict()["depth"]
         dim_v = "-" if rep.variety_dim is None else str(rep.variety_dim)
         cx = "-" if rep.cx is None else str(rep.cx)

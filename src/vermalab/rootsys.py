@@ -93,13 +93,17 @@ class CartanSpec:
 
 @lru_cache(maxsize=None)
 def _symmetrizes_to_positive_definite(m: Matrix) -> bool:
-    """The Fraction arithmetic of the finite-type check, once per matrix.
+    """The finite-type check, once per matrix.
 
-    A spec is rebuilt for every query that names its matrix; lru_cache
-    keeps no exception, so a matrix that is not symmetrizable raises
-    every time.
+    _symmetrize finds a positive diagonal D with D*A symmetric, and
+    det((D*A)_t) = det(D_t) det(A_t) for every leading t x t block, so
+    by Sylvester's criterion D*A is positive definite exactly when the
+    leading principal minors of A are positive.  A spec is rebuilt for
+    every query that names its matrix; lru_cache keeps no exception, so
+    a matrix that is not symmetrizable raises every time.
     """
-    return _positive_definite(_symmetrize(m))
+    _symmetrize(m)
+    return _leading_minors_positive(m)
 
 
 def _symmetrize(m: Matrix):
@@ -125,29 +129,26 @@ def _symmetrize(m: Matrix):
     return [[d[i] * m[i][j] for j in range(n)] for i in range(n)]
 
 
-def _positive_definite(b) -> bool:
-    n = len(b)
-    for t in range(1, n + 1):
-        if _minor_det(b, t) <= 0:
-            return False
-    return True
+def _leading_minors_positive(m: Matrix) -> bool:
+    return all(integer_det([row[:t] for row in m[:t]]) > 0 for t in range(1, len(m) + 1))
 
 
-def _minor_det(b, t: int) -> Fraction:
-    m = [[Fraction(b[i][j]) for j in range(t)] for i in range(t)]
-    det = Fraction(1)
-    for c in range(t):
-        pivot = next((i for i in range(c, t) if m[i][c] != 0), None)
+def integer_det(m) -> int:
+    """The determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination: every division is exact."""
+    m = [list(row) for row in m]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, t):
-            f = m[i][c] / m[c][c]
-            m[i] = [a - f * v for a, v in zip(m[i], m[c])]
-    return det
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 @dataclass(frozen=True)

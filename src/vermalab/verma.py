@@ -24,6 +24,7 @@ from .rootsys import (
     build_root_system,
     check_rank,
     dot_action,
+    integer_det,
     is_good_prime,
     is_pr_regular,
     psi_set,
@@ -206,24 +207,6 @@ def certify_smith(matrix, diag, u) -> None:
         image = [sum(a * matrix[t][j] for t, a in enumerate(row)) for j in range(n)]
         if any(x % s for x in image):
             raise CertificateError(f"a row of U * matrix is not divisible by {s}")
-
-
-def integer_det(m) -> int:
-    """The determinant of a square integer matrix, by fraction-free
-    (Bareiss) elimination: every division is exact."""
-    m = [list(row) for row in m]
-    n, sign, prev = len(m), 1, 1
-    for k in range(n - 1):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot], sign = m[pivot], m[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -269,13 +271,13 @@ def test_dot_action_on_the_weyl_stack_matches_each_matrix(name):
 
 def test_finite_type_check_runs_once_per_matrix(monkeypatch):
     calls = []
-    real = vermalab.rootsys._positive_definite
+    real = vermalab.rootsys._leading_minors_positive
 
-    def counting(b):
-        calls.append(b)
-        return real(b)
+    def counting(m):
+        calls.append(m)
+        return real(m)
 
-    monkeypatch.setattr(vermalab.rootsys, "_positive_definite", counting)
+    monkeypatch.setattr(vermalab.rootsys, "_leading_minors_positive", counting)
     vermalab.rootsys._symmetrizes_to_positive_definite.cache_clear()
     for _ in range(3):
         CartanSpec.parse("2,-1,0,0;-1,2,-2,0;0,-1,2,-1;0,0,-1,2")
@@ -363,3 +365,25 @@ def test_symmetrization_agrees_with_oracle():
         sym = _symmetrize(m)
         as_fracs = [[float(x) for x in row] for row in sym]
         assert oracles.positive_definite(sym)
+        assert vermalab.rootsys._leading_minors_positive(m)
+    # random symmetrizable generalized Cartan matrices, finite type or not:
+    # the leading minors of A agree with Sylvester's criterion on D*A
+    rng = random.Random(11)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = [[2] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                if rng.random() < 0.5:
+                    m[i][j], m[j][i] = -rng.randint(1, 3), -rng.randint(1, 3)
+                else:
+                    m[i][j] = m[j][i] = 0
+        try:
+            sym = vermalab.rootsys._symmetrize(m)
+        except NotFiniteType:
+            continue
+        want = oracles.positive_definite(sym)
+        assert vermalab.rootsys._leading_minors_positive(m) == want, m
+        seen.add(want)
+    assert seen == {False, True}

@@ -28,6 +28,30 @@ def test_heisenberg_growth_exits_one_on_mismatch(monkeypatch, capsys):
     assert out.count("MISMATCH") == 1
 
 
+def test_depth_survey_sweeps_a_box_of_weights(monkeypatch, capsys):
+    survey = load_script("depth_survey")
+    monkeypatch.setattr(sys, "argv", ["depth_survey.py", "--type", "A2", "--radius", "1"])
+    assert survey.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "type A2  p 5  r 2"
+    assert len(lines) == 2 + 9
+    # lambda = -rho pairs to zero with every root: depth -inf, projective
+    assert lines[2].split() == ["(-1,", "-1)", "-inf", "yes", "0", "0", "Projective"]
+
+
+def test_depth_survey_exits_two_on_bad_input(monkeypatch, capsys):
+    survey = load_script("depth_survey")
+    for argv, reason in (
+        (["--type", "X"], "unknown type name 'X'"),
+        (["--p", "4"], "p must be an odd prime >= 3"),
+        (["--type", "G2", "--p", "3"], "p = 3 divides a root coefficient of this system"),
+    ):
+        monkeypatch.setattr(sys, "argv", ["depth_survey.py", *argv, "--radius", "1"])
+        assert survey.main() == 2
+        # one line and no header before it
+        assert capsys.readouterr().out == f"error: {reason}\n"
+
+
 def test_run_verification_times_each_suite(monkeypatch, capsys):
     # a fake clock that each suite advances by its own index in seconds
     from vermalab.sl2 import CheckReport

@@ -122,7 +122,11 @@ def test_schema_check_survives_optimized_python():
         "schema = Sl2Schema(5, 1)\n"
         "s = build_simple(schema, 2)\n"
         "bad = FpModule(s.field, s.dim, {**s.ops, 'e': s.field.mul(s.ops['e'], 2)})\n"
-        "for check, mod in ((schema, bad), (Sl2Schema(3, 1), s), (Sl2Schema(5, 2), s)):\n"
+        "h = s.ops['h'].copy()\n"
+        "h[0, 1] = 1\n"
+        "skew = FpModule(s.field, s.dim, {**s.ops, 'h': h})\n"
+        "cases = ((schema, bad), (Sl2Schema(3, 1), s), (Sl2Schema(5, 2), s), (schema, skew))\n"
+        "for check, mod in cases:\n"
         "    try:\n"
         "        check.check(mod)\n"
         "    except (CertificateError, SchemaMismatch) as exc:\n"
@@ -130,7 +134,8 @@ def test_schema_check_survives_optimized_python():
     )
     got = run_optimized(code)
     assert got[0] == "CertificateError relation [e, f] = h fails at p = 5, r = 1"
-    assert [line.split()[0] for line in got[1:]] == ["SchemaMismatch", "SchemaMismatch"]
+    assert [line.split()[0] for line in got[1:]] == ["SchemaMismatch"] * 3
+    assert got[3].startswith("SchemaMismatch h is not diagonal")
 
 
 def conjugated(mod):
@@ -147,12 +152,14 @@ def schema_cases():
     return [(s1, build_simple(s1, 3)), (s2, build_verma_r2(s2, 4)), (s2, hyper_simples(3)["L5"])]
 
 
-def test_schema_check_accepts_a_non_diagonal_h():
+def test_schema_check_refuses_a_non_diagonal_h():
+    # the same modules in a basis that is not a weight basis
     for schema, mod in schema_cases():
         conj = conjugated(mod)
         assert "h" in mod._diagonals and "h" not in conj._diagonals
         schema.check(mod)
-        schema.check(conj)
+        with pytest.raises(SchemaMismatch, match="h is not diagonal"):
+            schema.check(conj)
 
 
 def check_failure(schema, mod):
@@ -161,12 +168,10 @@ def check_failure(schema, mod):
     return str(info.value)
 
 
-def test_schema_check_fails_the_same_relation_on_both_paths():
-    # the entrywise weight relations of a diagonal h and the products of
-    # a conjugated one name the same first failure
+def test_schema_check_names_the_relation_a_broken_operator_fails():
+    # a scaled e breaks [e, f] = h, the first relation of the table
     for schema, mod in schema_cases():
         broken = FpModule(mod.field, mod.dim, {**mod.ops, "e": mod.field.mul(mod.ops["e"], 2)})
-        assert check_failure(schema, broken) == check_failure(schema, conjugated(broken))
         assert "[e, f] = h" in check_failure(schema, broken)
     # an e_p entry between basis vectors of different weights breaks only
     # [h, e_p] = 0, which a diagonal h checks entrywise
@@ -174,7 +179,6 @@ def test_schema_check_fails_the_same_relation_on_both_paths():
     ep = mod.ops["e_p"].copy()
     ep[0, 1] = 1
     broken = FpModule(mod.field, mod.dim, {**mod.ops, "e_p": ep})
-    assert check_failure(schema, broken) == check_failure(schema, conjugated(broken))
     assert "[h, e_p] = 0" in check_failure(schema, broken)
 
 
@@ -201,7 +205,8 @@ def off_weight(mod, label, weight):
 def test_schema_check_names_the_failure_of_the_dense_table(p, r):
     # each operator of a Verma and of a cover, scaled by 2 or given an
     # entry off its weight shift: the weight blocks and the dense
-    # reference table name the same first failing relation
+    # reference table name the same first failing relation, except that
+    # an entry off the diagonal of h leaves the weight basis
     schema = Sl2Schema(p, r)
     verma = build_verma_r1(schema, 1) if r == 1 else build_verma_r2(schema, p + 1)
     cover = max(library(p, r).projectives.values(), key=lambda m: m.dim)
@@ -210,7 +215,11 @@ def test_schema_check_names_the_failure_of_the_dense_table(p, r):
         for label in schema.labels:
             f = mod.field
             scaled = FpModule(f, mod.dim, {**mod.ops, label: f.mul(mod.ops[label], 2)})
-            for broken in (scaled, off_weight(mod, label, weights[label])):
+            off = off_weight(mod, label, weights[label])
+            if label == "h":
+                with pytest.raises(SchemaMismatch, match="h is not diagonal"):
+                    schema.check(off)
+            for broken in (scaled,) if label == "h" else (scaled, off):
                 name = reference_sl2_failure(broken, p, r)
                 if name is None:
                     schema.check(broken)
@@ -221,17 +230,16 @@ def test_schema_check_names_the_failure_of_the_dense_table(p, r):
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_weight_blocks_decide_products_as_dense_matrices_do(p):
-    # random operators homogeneous for a random grading, some sparse enough
-    # that their p-th powers vanish: every verdict matches the dense one
+    # random operators homogeneous for a grading, some sparse enough that
+    # their p-th powers vanish: every verdict matches the dense one
     rng = np.random.default_rng(p)
     f = GF(p)
     weights = {"e": 2, "f": p - 2, "e_p": 0, "f_p": 0}
     pairs = [("e", "f"), ("e", "e_p"), ("f", "f_p")]
     seen = set()
-    for trial in range(24):
-        dim = int(rng.integers(2 * p, 5 * p))
-        d = rng.permutation(np.arange(dim) % p)
-        density = (0.02, 0.1, 0.6)[trial % 3]
+
+    def agree(d, density):
+        dim = len(d)
         ops = {}
         for x, c in weights.items():
             fits = (d[:, None] - d[None, :] - c) % p == 0
@@ -246,6 +254,14 @@ def test_weight_blocks_decide_products_as_dense_matrices_do(p):
         for x in weights:
             assert holds[x] == (not np.any(f.matpow(ops[x], p)))
             seen.add(holds[x])
+
+    for trial in range(24):
+        dim = int(rng.integers(2 * p, 5 * p))
+        agree(rng.permutation(np.arange(dim) % p), (0.02, 0.1, 0.6)[trial % 3])
+    # crowded gradings: every weight in one class, and dimension 1
+    for density in (0.1, 0.6):
+        for dim, k in ((1, 0), (1, 1), (6, 0), (2 * p, 1), (3 * p, p - 1)):
+            agree(np.full(dim, k), density)
     assert seen == {False, True}
 
 
