@@ -8,13 +8,13 @@ import argparse
 import itertools
 import sys
 
-from vermalab.rootsys import CartanSpec
+from vermalab.rootsys import NAMED_TYPES, CartanSpec
 from vermalab.verma import classify
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--type", default="A1", help="A1, A2, B2, G2, A1xA1")
+    parser.add_argument("--type", default="A1", help=", ".join(NAMED_TYPES))
     parser.add_argument("--p", type=int, default=5)
     parser.add_argument("--r", type=int, default=2)
     parser.add_argument("--radius", type=int, default=12, help="half-width of the sweep box")

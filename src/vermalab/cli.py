@@ -17,7 +17,9 @@ from json.encoder import encode_basestring_ascii
 
 from .heisenberg import dimension_fit
 from .modules import Undecided, dump_text
-from .rootsys import CartanSpec, build_root_system, check_rank, is_pr_regular, psi_set
+from .rootsys import (
+    NAMED_TYPES, CartanSpec, build_root_system, check_rank, is_pr_regular, psi_set,
+)
 from .sl2 import (
     Sl2Schema,
     build_simple,
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_p:
             arg("--p", type=int, required=True, help="prime")
         if root:
-            arg("--type", help="named type: A1, A2, B2, G2, A1xA1")
+            arg("--type", help=f"named type: {', '.join(NAMED_TYPES)}")
             arg("--cartan", help="explicit Cartan rows, e.g. '2,-1;-1,2'")
         if needs_r:
             arg("--r", type=int, required=True, help="Frobenius kernel level")

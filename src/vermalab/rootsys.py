@@ -8,7 +8,8 @@ coordinates of the j-th simple root.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -106,8 +107,8 @@ def _symmetrizes_to_positive_definite(m: Matrix) -> bool:
     return _leading_minors_positive(m)
 
 
-def _symmetrize(m: Matrix):
-    """Diagonal scaling making D*A symmetric, or raise NotFiniteType."""
+def _symmetrize(m: Matrix) -> list[Fraction]:
+    """The diagonal of a positive D with D*A symmetric, or raise NotFiniteType."""
     n = len(m)
     d = [None] * n
     for start in range(n):
@@ -126,7 +127,7 @@ def _symmetrize(m: Matrix):
                     stack.append(j)
                 elif d[j] != want:
                     raise NotFiniteType("Cartan matrix is not symmetrizable")
-    return [[d[i] * m[i][j] for j in range(n)] for i in range(n)]
+    return d
 
 
 def _leading_minors_positive(m: Matrix) -> bool:
@@ -166,30 +167,26 @@ class PositiveRoot:
 class CosetFactorization(NamedTuple):
     """W = W_J * R: every Weyl element is u * r for exactly one u in W_J, r in R.
 
-    W_J (`stabilizer`) is the stabilizer of the fundamental weight
-    omega_j of node j (`node`); it also fixes the coweight omega_j^v,
-    a positive multiple of which is the integer row `coweight` on weight
-    coordinates.  `representatives` holds one element r of each right
-    coset W_J * r, the first reached in the order of `weyl_array`.  The
-    `*_index` arrays give each element's position in `weyl_array`.
+    W_J (`stabilizer`) is generated by the simple reflections s_i with
+    i != j (`node`); it is the stabilizer of the integer row `coweight`, a
+    positive multiple of the coweight omega_j^v on weight coordinates.
+    `representatives` holds one element r per point c * r of the orbit of
+    c, so one per right coset W_J * r.  Each part is a read-only int64
+    stack, the identity first and then in the order of generation;
+    `entry_bound` is the largest absolute entry of either.
     """
 
     node: int
     coweight: np.ndarray
     stabilizer: np.ndarray
     representatives: np.ndarray
-    stabilizer_index: np.ndarray
-    representative_index: np.ndarray
+    entry_bound: int
 
 
 @dataclass(frozen=True)
 class RootSystem:
     cartan: CartanSpec
     positive_roots: tuple[PositiveRoot, ...]
-    # The Weyl group as one read-only (|W|, rank, rank) int64 array, in
-    # breadth-first order by length.  It is determined by `cartan`, and an
-    # array has no usable == or hash, so it stays out of both.
-    weyl_array: np.ndarray = field(compare=False, repr=False)
     coxeter_number: int
 
     @property
@@ -201,18 +198,22 @@ class RootSystem:
         return self.cartan.rho
 
     @cached_property
-    def weyl(self) -> tuple[Matrix, ...]:
-        """The Weyl group as integer matrices, in the order of `weyl_array`."""
-        return tuple(tuple(map(tuple, w)) for w in self.weyl_array.tolist())
+    def simple_reflections(self) -> np.ndarray:
+        """s_1, ..., s_n as one read-only (n, n, n) int64 stack.
 
-    @cached_property
-    def weyl_entry_bound(self) -> int:
-        """The largest absolute entry of any Weyl group matrix."""
-        return max(int(self.weyl_array.max()), -int(self.weyl_array.min()))
+        s_j fixes every fundamental weight but the j-th and sends it to
+        itself minus alpha_j, whose coordinates are column j of the matrix.
+        """
+        n = self.rank
+        gens = np.repeat(np.eye(n, dtype=np.int64)[None], n, axis=0)
+        for j, column in enumerate(np.array(self.cartan.matrix, dtype=np.int64).T):
+            gens[j, :, j] -= column
+        gens.setflags(write=False)
+        return gens
 
     @cached_property
     def coset_factorization(self) -> CosetFactorization:
-        """W = W_J * R through the smallest pair of orbits, certified; see `_factor_weyl`."""
+        """W = W_J * R through the smallest pair of parts, certified; see `_factor_weyl`."""
         return _factor_weyl(self)
 
     @cached_property
@@ -228,125 +229,130 @@ class RootSystem:
         return int(np.abs(self.coroot_matrix).max())
 
 
-def _mat_vec(m: Matrix, v) -> tuple[int, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
 # Elements of one level whose products with the generators are formed at
-# once; bounds the candidate array when a level is large (E7, E8).
+# once; bounds the candidate array when a level is large.
 _WEYL_BLOCK = 4096
 
 
-def _close_weyl(gens: np.ndarray) -> np.ndarray:
-    """The group generated by `gens`, breadth-first by length.
+def _keys(stack: np.ndarray) -> list[bytes]:
+    """One bytes key per element of a stacked array."""
+    raw, width = stack.tobytes(), stack.itemsize * math.prod(stack.shape[1:])
+    return [raw[i:i + width] for i in range(0, len(raw), width)]
+
+
+def _close_weyl(gens: np.ndarray, coweight: np.ndarray | None = None) -> np.ndarray:
+    """The elements reached from 1 by products w·s, s in `gens`, breadth-first.
 
     Each level is the new products w·s, w over the previous level and s
     over the generators, w-major, in the order they are first reached.
-    Raises NotFiniteType once a new element would exceed WEYL_CAP.
+    A product is new when the matrix is, so the result is the group that
+    `gens` generate; given a `coweight` row c, when the row c·w is, so the
+    result holds one element per point of the orbit of c.  Raises
+    NotFiniteType once a new element would exceed WEYL_CAP.
     """
     n = gens.shape[-1]
-    width = n * n * gens.itemsize
+    key = (lambda ws: ws) if coweight is None else (lambda ws: coweight @ ws)
     frontier = np.eye(n, dtype=np.int64)[None]
-    seen = {frontier.tobytes()}
+    seen = set(_keys(key(frontier)))
     levels = [frontier]
     while len(frontier):
         fresh = []
         for start in range(0, len(frontier), _WEYL_BLOCK):
-            block = frontier[start:start + _WEYL_BLOCK, None] @ gens[None]
-            block = block.reshape(-1, n, n)
-            raw = block.tobytes()
+            block = (frontier[start:start + _WEYL_BLOCK, None] @ gens[None]).reshape(-1, n, n)
             keep = []
-            for i in range(len(block)):
-                key = raw[i * width:(i + 1) * width]
-                if key not in seen:
+            for i, k in enumerate(_keys(key(block))):
+                if k not in seen:
                     if len(seen) >= WEYL_CAP:
                         raise NotFiniteType("Weyl closure exceeded cap")
-                    seen.add(key)
+                    seen.add(k)
                     keep.append(i)
             fresh.append(block[keep])
         frontier = np.concatenate(fresh)
         levels.append(frontier)
-    weyl = np.concatenate(levels)
-    weyl.setflags(write=False)
-    return weyl
+    closure = np.concatenate(levels)
+    closure.setflags(write=False)
+    return closure
 
 
 def _factor_weyl(rs: RootSystem) -> CosetFactorization:
-    """Split W through the stabilizer W_J of one fundamental weight omega_j.
+    """Split W through the stabilizer W_J of a coweight, from the simple reflections alone.
 
-    w fixes omega_j exactly when its column j is e_j.  The positive
-    coroots of the roots that involve alpha_j sum to 2 rho^v - 2 rho_J^v,
-    which pairs to 0 with alpha_i for i != j and positively with alpha_j:
-    a positive multiple c of omega_j^v, fixed by W_J and by nothing else,
-    so c * w names the right coset W_J * w (Humphreys, *Reflection Groups
-    and Coxeter Groups*, 1.10-1.12).  j minimizes |W_J| + |W| / |W_J|.
+    The positive coroots of the roots that involve alpha_j sum to
+    2 rho^v - 2 rho_J^v, which pairs to 0 with alpha_i for i != j and
+    positively with alpha_j: a positive multiple c of omega_j^v.  Its
+    stabilizer is generated by the s_i with i != j (Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1.10-1.12), and R takes one element per
+    point of the orbit of c.  j minimizes |W_J| + |R|; W is never formed.
     """
-    weyl = rs.weyl_array
-    # one column at a time: the queries that build W first are near the
-    # process's peak memory, so no (|W|, n, n) temporary is made here
-    sizes = [int(_fixes(weyl, j).sum()) for j in range(rs.rank)]
-    node = min(range(rs.rank), key=lambda j: sizes[j] + len(weyl) // sizes[j])
-    involves = [root.coeffs[node] != 0 for root in rs.positive_roots]
-    coweight = rs.coroot_matrix[involves].sum(axis=0)
-    stabilizer_index = np.flatnonzero(_fixes(weyl, node))
-    keys = (coweight @ weyl).tobytes()
-    width = len(keys) // len(weyl)
-    first = {}
-    for i in range(len(weyl)):
-        first.setdefault(keys[i * width:(i + 1) * width], i)
-    representative_index = np.array(list(first.values()))
-    factorization = CosetFactorization(
-        node, coweight, weyl[stabilizer_index], weyl[representative_index],
-        stabilizer_index, representative_index,
-    )
-    certify_factorization(weyl, factorization)
-    for part in factorization[1:]:
-        part.setflags(write=False)
+    gens = rs.simple_reflections
+
+    def at(j):
+        involves = [root.coeffs[j] != 0 for root in rs.positive_roots]
+        coweight = rs.coroot_matrix[involves].sum(axis=0)
+        parts = _close_weyl(np.delete(gens, j, axis=0)), _close_weyl(gens, coweight)
+        return CosetFactorization(j, coweight, *parts, max(int(np.abs(w).max()) for w in parts))
+
+    size = lambda f: len(f.stabilizer) + len(f.representatives)
+    factorization = min(map(at, range(rs.rank)), key=size)
+    certify_factorization(gens, factorization)
+    factorization.coweight.setflags(write=False)
     return factorization
 
 
-def certify_factorization(weyl: np.ndarray, factorization: CosetFactorization) -> None:
-    """Raise CertificateError unless W_J is a group and the products u * r are W, each once.
+def certify_factorization(gens: np.ndarray, factorization: CosetFactorization) -> None:
+    """Raise CertificateError unless every w in W is u * r for exactly one u in W_J, r in R.
 
-    The elements of W_J and of R are the rows of `weyl` at their indices,
-    distinct indices, so they are distinct elements of W.  W_J is the
-    stabilizer of omega_j, a group, when its elements fix omega_j and are
-    as many as the elements of W that do.  Its elements must also fix the
-    coweight row c, and the rows c * r must be distinct: then u r = u' r'
-    gives c r = c u r = c u' r' = c r', so r = r' and u = u'.  With
-    |W_J| * |R| = |W|, the products are |W| distinct elements of the
-    group W, which is all of it.  No product u * r is formed, so the
-    check costs a few small arrays.
+    W is never formed.  Each part starts at the identity, and every later
+    element is an earlier one times a generator (an s_i with i != j for
+    W_J, any s_i for R), so both parts lie in W.  W_J is distinct, fixes
+    c and is closed under its generators, so it is the whole group they
+    generate.  c pairs to 0 with every alpha_i, i != j, and positively
+    with alpha_j, so c is dominant and that group is its whole stabilizer
+    (Humphreys 1.12).  The rows c * r are distinct and closed under every
+    s_i, so they are the orbit of c, each point once.  Then for each w,
+    c * w = c * r for exactly one r, and w r^-1 fixes c, so it is the one
+    u in W_J with w = u r.
     """
-    node, coweight, stabilizer, reps, stabilizer_index, rep_index = factorization
-    for name, part, index in (("W_J", stabilizer, stabilizer_index), ("R", reps, rep_index)):
-        at = index.tolist()
-        if (
-            not all(0 <= i < len(weyl) for i in at)
-            or len(set(at)) != len(at)
-            or not np.array_equal(weyl[index], part)
-        ):
-            raise CertificateError(f"{name} is not a set of distinct elements of W")
-    if not _fixes(stabilizer, node).all() or len(stabilizer) != _fixes(weyl, node).sum():
-        raise CertificateError(f"W_J is not the stabilizer of omega_{node}")
+    node, coweight, stabilizer, reps = factorization[:4]
+    # column j of 1 - s_j is alpha_j, so these columns form the Cartan matrix
+    cartan = np.eye(len(gens), dtype=np.int64) - np.diagonal(gens, 0, 0, 2)
+    pairings = (coweight @ cartan).tolist()
+    if pairings[node] <= 0 or any(pairings[:node] + pairings[node + 1:]):
+        raise CertificateError(f"the coweight is not a positive multiple of omega_{node}^v")
     if not (coweight @ stabilizer == coweight).all():
         raise CertificateError(f"W_J moves the coweight of node {node}")
-    if len(set(map(tuple, (coweight @ reps).tolist()))) != len(reps):
+    steps = _certify_words("W_J", stabilizer, np.delete(gens, node, axis=0))
+    elements = _keys(stabilizer)
+    if len(set(elements)) != len(elements):
+        raise CertificateError("W_J repeats an element")
+    if not set(_keys(steps)) <= set(elements):
+        raise CertificateError(f"W_J is not closed under the s_i with i != {node}")
+    orbit = _keys(coweight @ reps)
+    if len(set(orbit)) != len(orbit):
         raise CertificateError("two representatives lie in the same coset of W_J")
-    if len(stabilizer) * len(reps) != len(weyl):
-        raise CertificateError(
-            f"|W_J| * |R| = {len(stabilizer)} * {len(reps)} is not |W| = {len(weyl)}"
-        )
+    if not set(_keys(coweight @ _certify_words("R", reps, gens))) <= set(orbit):
+        raise CertificateError("the rows c * r are not the whole orbit of the coweight")
 
 
-def _fixes(ws: np.ndarray, j: int) -> np.ndarray:
-    """Which of the stacked matrices fix omega_j: those whose column j is e_j."""
-    return (ws[:, :, j] == np.eye(ws.shape[-1], dtype=ws.dtype)[j]).all(axis=1)
+def _certify_words(name: str, part: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Every product of an element of `part` with a generator, element-major;
+    raises CertificateError unless part[0] is the identity and each later
+    element is one of these products with an earlier element."""
+    n = gens.shape[-1]
+    if not len(part) or not np.array_equal(part[0], np.eye(n, dtype=np.int64)):
+        raise CertificateError(f"{name} does not start at the identity")
+    steps = (part[:, None] @ gens[None]).reshape(-1, n, n)
+    first = {}
+    for i, k in enumerate(_keys(steps)):
+        first.setdefault(k, i // len(gens))
+    if any(first.get(k, i) >= i for i, k in enumerate(_keys(part)) if i):
+        raise CertificateError(f"{name} holds an element that is not a product of generators")
+    return steps
 
 
 @lru_cache(maxsize=None)
 def build_root_system(spec: CartanSpec) -> RootSystem:
-    """Positive roots and Weyl group by reflection closure."""
+    """Positive roots and coroots by reflection closure; the Weyl group is never formed."""
     a = spec.matrix
     n = spec.rank
     at = tuple(tuple(a[j][i] for j in range(n)) for i in range(n))
@@ -376,16 +382,7 @@ def build_root_system(spec: CartanSpec) -> RootSystem:
 
     ordered = sorted(roots.items(), key=lambda item: (sum(item[0]), item[0]))
     positive = tuple(PositiveRoot(c, cv) for c, cv in ordered)
-
-    # s_j fixes every fundamental weight but the j-th and sends it to
-    # itself minus alpha_j, whose coordinates are column j of the matrix.
-    cartan = np.array(a, dtype=np.int64)
-    gens = np.repeat(np.eye(n, dtype=np.int64)[None], n, axis=0)
-    for j in range(n):
-        gens[j, :, j] -= cartan[:, j]
-
-    h = 1 + max(r.height for r in positive)
-    return RootSystem(spec, positive, _close_weyl(gens), h)
+    return RootSystem(spec, positive, 1 + max(r.height for r in positive))
 
 
 # -- weight operations --------------------------------------------------
@@ -429,7 +426,7 @@ def shifted_pairings(rs: RootSystem, lam: Weight) -> list[int]:
 
 
 def apply_weyl(w: Matrix, lam: Weight) -> Weight:
-    return _mat_vec(w, lam)
+    return tuple(sum(x * y for x, y in zip(row, lam)) for row in w)
 
 
 def dot_action(rs: RootSystem, w, lam: Weight):

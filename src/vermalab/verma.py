@@ -256,11 +256,11 @@ def block_contains(rs: RootSystem, gamma: Weight, lam: Weight, p: int, r: int) -
     factorization = rs.coset_factorization
     lifted = add_weights(gamma, rs.rho)
     n = rs.rank
-    # every partial sum of U w v, for w in W and v = gamma + rho or lam + rho,
-    # is at most n * max|u_ij| * n * max|w_ij| * max|v_i|; the classes are
-    # then reduced by the moduli of L, which must fit as well
+    # every partial sum of U w v, for w in W_J or R and v = gamma + rho or
+    # lam + rho, is at most n * max|u_ij| * n * max|w_ij| * max|v_i|; the
+    # classes are then reduced by the moduli of L, which must fit as well
     size = max(map(abs, lifted + add_weights(lam, rs.rho)))
-    bound = max(n * n * lattice.u_bound * rs.weyl_entry_bound * size, max(lattice.diag))
+    bound = max(n * n * lattice.u_bound * factorization.entry_bound * size, max(lattice.diag))
     dtype = np.int64 if bound < _INT64_SAFE else object
     ours = factorization.stabilizer.astype(dtype, copy=False) @ np.array(lifted, dtype=dtype)
     reps = factorization.representatives.astype(dtype, copy=False)

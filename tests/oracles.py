@@ -233,6 +233,46 @@ def brute_weyl_group(spec):
     return tuple(order)
 
 
+def cartan_e(n):
+    """The Cartan matrix of type E_n, n = 6, 7, 8, in Bourbaki's numbering
+    shifted to start at 0: the chain 0-2-3-4-...-(n-1), with 1 joined to 3."""
+    edges = {(0, 2), (1, 3)} | {(i, i + 1) for i in range(2, n - 1)}
+    return tuple(
+        tuple(2 if i == j else -1 if (i, j) in edges or (j, i) in edges else 0 for j in range(n))
+        for i in range(n)
+    )
+
+
+def simply_laced_positive_roots(matrix):
+    """The positive roots of a symmetric Cartan matrix, over the simple roots.
+
+    In a simply laced system the positive roots are the nonnegative
+    integer vectors c with c^T A c = 2, and each one that is not simple is
+    a positive root plus a simple root; so grow them by height, adding
+    simple roots, instead of reflecting.  A root equals its coroot.
+    """
+    n = len(matrix)
+    norm = lambda c: sum(c[i] * matrix[i][j] * c[j] for i in range(n) for j in range(n))
+    level = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    roots = []
+    while level:
+        roots += level
+        level = sorted({
+            c for root in level for i in range(n)
+            if norm(c := tuple(x + (t == i) for t, x in enumerate(root))) == 2
+        })
+    return roots
+
+
+def oracle_pairings(rs, lam):
+    """<lam + rho, alpha_v> over the positive roots of `rs`, one root at a time."""
+    shifted = [x + h for x, h in zip(lam, rs.rho)]
+    return [
+        sum(c * x for c, x in zip(root.coroot_coeffs, shifted))
+        for root in rs.positive_roots
+    ]
+
+
 def translation_columns(spec, dep, p, r):
     """The generators of p^dep * (root lattice) + p^r * (weight lattice) in
     weight coordinates: p^dep times each column of the Cartan matrix (none
@@ -254,11 +294,7 @@ def walk_block_contains(rs, gamma, lam, p, r):
     """
     n = rs.rank
     shifted = [x + h for x, h in zip(lam, rs.rho)]
-    pairings = [
-        sum(c * x for c, x in zip(root.coroot_coeffs, shifted))
-        for root in rs.positive_roots
-    ]
-    dep = brute_depth(pairings, p, s_max=256)
+    dep = brute_depth(oracle_pairings(rs, lam), p, s_max=256)
     echelon = lattice_echelon(translation_columns(rs.cartan, dep, p, r))
     for w in brute_weyl_group(rs.cartan):
         moved = [sum(w[i][j] * shifted[j] for j in range(n)) - rs.rho[i] for i in range(n)]

@@ -3,12 +3,14 @@ import argparse
 import enum
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -137,6 +139,37 @@ def test_explicit_cartan_matches_named_type(capsys):
     _, a = run(capsys, named)
     _, b = run(capsys, explicit)
     assert a == b
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_weight_verbs_answer_on_e7_and_e8(capsys, n):
+    # no Weyl group is formed, so E7 and E8 answer through --cartan; the
+    # oracle grows the positive roots by height, not by reflection
+    matrix = oracles.cartan_e(n)
+    cartan = ";".join(",".join(map(str, row)) for row in matrix)
+    roots = oracles.simply_laced_positive_roots(matrix)
+    assert len(roots) == {7: 63, 8: 120}[n]
+    rng = random.Random(n)
+    for p in (2, 3, 5, 7):
+        weights = [(-1,) * n] + [
+            tuple(scale * rng.randint(-4, 4) - 1 for _ in range(n)) for scale in (1, p, p * p)
+        ]
+        weights.append(tuple(rng.randint(-9, 9) for _ in range(n)))
+        for lam in weights:
+            pairings = [sum(c * (x + 1) for c, x in zip(root, lam)) for root in roots]
+            weight = "--weight=" + ",".join(map(str, lam))
+            common = ["--cartan", cartan, "--p", str(p), weight, "--json"]
+            code, out = run(capsys, ["depth", *common])
+            want = oracles.brute_depth(pairings, p)
+            assert code == 0 and json.loads(out)["depth"] == ("-inf" if want is None else want)
+            for r in (1, 2, 3):
+                divisible = {root for root, a in zip(roots, pairings) if a % p**r == 0}
+                code, out = run(capsys, ["psi", *common, "--r", str(r)])
+                got = json.loads(out)
+                assert code == 0 and len(got["indices"]) == len(got["roots"]) == len(divisible)
+                assert set(map(tuple, got["roots"])) == divisible
+                code, out = run(capsys, ["regular", *common, "--r", str(r)])
+                assert code == 0 and json.loads(out)["regular"] == (not divisible)
 
 
 def test_psi_empty_text(capsys):

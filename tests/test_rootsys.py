@@ -40,6 +40,8 @@ EXPLICIT = {
         (0, 0, 0, -1, 2, -1),
         (0, 0, 0, 0, -1, 2),
     ),
+    "E7": oracles.cartan_e(7),
+    "E8": oracles.cartan_e(8),
 }
 
 # classified data, frozen: (#positive roots, |W|, Coxeter number)
@@ -56,6 +58,8 @@ CLASSIFIED = {
     "F4": (24, 1152, 12),
     "A5": (15, 720, 6),
     "E6": (36, 51840, 12),
+    "E7": (63, 2903040, 18),
+    "E8": (120, 696729600, 30),
 }
 
 IRREDUCIBLE = [name for name in CLASSIFIED if name != "A1xA1"]
@@ -76,28 +80,53 @@ def test_classified_counts(name):
     rs = rs_of(name)
     n_pos, w_order, cox = CLASSIFIED[name]
     assert len(rs.positive_roots) == n_pos
-    assert rs.weyl_array.shape == (w_order, rs.rank, rs.rank)
     assert rs.coxeter_number == cox
+    if name != "E8":
+        # E8's node choice needs its invariant degrees: W_J of type E7 at
+        # one node has 2,903,040 elements, past WEYL_CAP
+        factorization = rs.coset_factorization
+        assert len(factorization.stabilizer) * len(factorization.representatives) == w_order
 
 
-# the tuple closure of E6 (|W| = 51840) takes about ten seconds
-@pytest.mark.parametrize("name", [name for name in CLASSIFIED if name != "E6"])
+def test_root_systems_build_without_the_weyl_group(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_root_system closed a group")
+
+    monkeypatch.setattr(vermalab.rootsys, "_close_weyl", refuse)
+    build_root_system.cache_clear()
+    try:
+        for name in ("E6", "E7", "E8"):
+            n_pos, _, cox = CLASSIFIED[name]
+            rs = rs_of(name)
+            assert (len(rs.positive_roots), rs.coxeter_number) == (n_pos, cox)
+            assert sorted(root.coeffs for root in rs.positive_roots) == sorted(
+                oracles.simply_laced_positive_roots(spec_of(name).matrix)
+            )
+    finally:
+        build_root_system.cache_clear()
+
+
+# the tuple closure of E6 (|W| = 51840) takes about ten seconds, and E7's
+# and E8's groups are past WEYL_CAP
+@pytest.mark.parametrize("name", [name for name in CLASSIFIED if name[0] != "E"])
 def test_weyl_group_matches_tuple_closure(name):
     spec = spec_of(name)
-    rs = build_root_system(spec)
-    want = oracles.brute_weyl_group(spec)
-    assert rs.weyl == want
-    assert np.array_equal(rs.weyl_array, np.array(want, dtype=np.int64))
+    got = vermalab.rootsys._close_weyl(rs_of(name).simple_reflections)
+    assert np.array_equal(got, np.array(oracles.brute_weyl_group(spec), dtype=np.int64))
 
 
 def test_weyl_closure_blocks_keep_the_order(monkeypatch):
     # F4's largest length level has fewer elements than one block, so
-    # shrink the block to run every level in pieces
-    want = rs_of("F4").weyl_array
+    # shrink the block to run every level of W and of both parts in pieces
+    gens = rs_of("F4").simple_reflections
+    want = vermalab.rootsys._close_weyl(gens), rs_of("F4").coset_factorization
     monkeypatch.setattr(vermalab.rootsys, "_WEYL_BLOCK", 5)
     build_root_system.cache_clear()
     try:
-        assert np.array_equal(rs_of("F4").weyl_array, want)
+        got = vermalab.rootsys._close_weyl(gens), rs_of("F4").coset_factorization
+        assert np.array_equal(got[0], want[0])
+        for part, part_want in zip(got[1][1:4], want[1][1:4]):
+            assert np.array_equal(part, part_want)
     finally:
         build_root_system.cache_clear()
 
@@ -105,34 +134,43 @@ def test_weyl_closure_blocks_keep_the_order(monkeypatch):
 @pytest.mark.parametrize(
     "cap_name, cap, closes",
     [
-        ("WEYL_CAP", 1152, True),
-        ("WEYL_CAP", 1151, False),
+        ("WEYL_CAP", 96, True),
+        ("WEYL_CAP", 95, False),
         ("POSITIVE_ROOT_CAP", 24, True),
         ("POSITIVE_ROOT_CAP", 23, False),
     ],
 )
 def test_closure_caps_on_both_sides_of_f4(cap_name, cap, closes, monkeypatch):
-    # F4 has 24 positive roots and |W| = 1152
+    # F4 has 24 positive roots; the largest set its factorization generates
+    # is an orbit of 96 points, at the two nodes whose W_J has 12 elements
     monkeypatch.setattr(vermalab.rootsys, cap_name, cap)
     build_root_system.cache_clear()
     try:
         if closes:
             rs = rs_of("F4")
-            assert (len(rs.positive_roots), len(rs.weyl_array)) == (24, 1152)
+            factorization = rs.coset_factorization
+            sizes = len(factorization.stabilizer), len(factorization.representatives)
+            assert (len(rs.positive_roots), sizes) == (24, (48, 24))
+        elif cap_name == "WEYL_CAP":
+            rs = rs_of("F4")
+            with pytest.raises(NotFiniteType, match="Weyl closure exceeded cap"):
+                rs.coset_factorization
         else:
-            what = "Weyl" if cap_name == "WEYL_CAP" else "positive root"
-            with pytest.raises(NotFiniteType, match=f"{what} closure exceeded cap"):
+            with pytest.raises(NotFiniteType, match="positive root closure exceeded cap"):
                 rs_of("F4")
     finally:
         build_root_system.cache_clear()
 
 
-def test_root_system_equality_ignores_the_weyl_array():
+def test_root_system_equality_ignores_its_cached_arrays():
     build_root_system.cache_clear()
     first = rs_of("B2")
+    first.coset_factorization
     build_root_system.cache_clear()
     second = rs_of("B2")
-    assert first is not second and first.weyl_array is not second.weyl_array
+    assert first is not second
+    assert first.simple_reflections is not second.simple_reflections
+    assert "coset_factorization" in vars(first) and "coset_factorization" not in vars(second)
     assert first == second and hash(first) == hash(second)
     assert first != rs_of("G2")
     assert len({first, second}) == 1
@@ -248,7 +286,7 @@ def test_shifted_pairings_match_each_root(name):
 
 def test_sl2_dot_action_is_reflection_minus_two():
     rs = rs_of("A1")
-    s = rs.weyl[1]
+    s = oracles.brute_weyl_group(rs.cartan)[1]
     for lam in range(-10, 10):
         assert dot_action(rs, s, (lam,)) == (-lam - 2,)
 
@@ -256,14 +294,13 @@ def test_sl2_dot_action_is_reflection_minus_two():
 @pytest.mark.parametrize("name", TYPES)
 def test_dot_action_on_the_weyl_stack_matches_each_matrix(name):
     rs = rs_of(name)
-    stack = rs.weyl_array
-    assert stack.shape == (len(rs.weyl), rs.rank, rs.rank)
-    assert stack.dtype == np.int64 and not stack.flags.writeable
+    weyl = oracles.brute_weyl_group(rs.cartan)
+    stack = np.array(weyl, dtype=np.int64)
     for lam in [(0,) * rs.rank, tuple(range(-2, rs.rank - 2)), (7,) * rs.rank]:
         got = dot_action(rs, stack, lam)
-        assert got.shape == (len(rs.weyl), rs.rank)
+        assert got.shape == (len(weyl), rs.rank)
         exact = dot_action(rs, stack.astype(object), lam)
-        for w, row, row_exact in zip(rs.weyl, got, exact):
+        for w, row, row_exact in zip(weyl, got, exact):
             want = dot_action(rs, w, lam)
             assert isinstance(want, tuple)
             assert tuple(int(x) for x in row) == want == tuple(row_exact)
@@ -323,7 +360,7 @@ def test_weyl_moves_preserve_pairing_multiset(name, a, b, p):
     rs = rs_of(name)
     lam = (a,) if rs.rank == 1 else (a, b)
     base = sorted(abs(pairing(rs, lam, r)) for r in rs.positive_roots)
-    for w in rs.weyl:
+    for w in oracles.brute_weyl_group(rs.cartan):
         moved = apply_weyl(w, lam)
         got = sorted(abs(pairing(rs, moved, r)) for r in rs.positive_roots)
         assert got == base
@@ -336,7 +373,7 @@ def test_psi_size_invariant_under_dot_action(name, a, b, p, r):
     rs = rs_of(name)
     lam = (a,) if rs.rank == 1 else (a, b)
     base = len(psi_set(rs, lam, p, r))
-    for w in rs.weyl:
+    for w in oracles.brute_weyl_group(rs.cartan):
         assert len(psi_set(rs, dot_action(rs, w, lam), p, r)) == base
 
 
@@ -357,14 +394,15 @@ def test_reflections_send_positive_roots_to_signed_roots(name):
 
 
 def test_symmetrization_agrees_with_oracle():
+    def symmetrized(m):
+        d = vermalab.rootsys._symmetrize(m)
+        sym = [[d[i] * x for x in row] for i, row in enumerate(m)]
+        assert all(x > 0 for x in d) and sym == [list(col) for col in zip(*sym)]
+        return sym
+
     for name in TYPES:
         m = CartanSpec.from_type(name).matrix
-        d = [1] * len(m)
-        # build the same symmetrization the package uses and check it is PD
-        from vermalab.rootsys import _symmetrize
-        sym = _symmetrize(m)
-        as_fracs = [[float(x) for x in row] for row in sym]
-        assert oracles.positive_definite(sym)
+        assert oracles.positive_definite(symmetrized(m))
         assert vermalab.rootsys._leading_minors_positive(m)
     # random symmetrizable generalized Cartan matrices, finite type or not:
     # the leading minors of A agree with Sylvester's criterion on D*A
@@ -380,7 +418,7 @@ def test_symmetrization_agrees_with_oracle():
                 else:
                     m[i][j] = m[j][i] = 0
         try:
-            sym = vermalab.rootsys._symmetrize(m)
+            sym = symmetrized(m)
         except NotFiniteType:
             continue
         want = oracles.positive_definite(sym)

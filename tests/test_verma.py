@@ -12,6 +12,8 @@ from oracles import (
     _det,
     brute_depth,
     brute_lattice_member,
+    brute_weyl_group,
+    cartan_e,
     rational_inverse,
     reference_translation_lattice,
     translation_columns,
@@ -268,7 +270,7 @@ def test_block_of_projective_weight_sl2():
 def test_block_examples_sl3():
     lam = (0, 0)
     assert block_contains(RS3, lam, lam, 5, 1)
-    for w in RS3.weyl:
+    for w in brute_weyl_group(SL3):
         assert block_contains(RS3, dot_action(RS3, w, lam), lam, 5, 1)
     shifted = add_weights(lam, (5 * 2 - 5 * 1, -5 * 1 + 5 * 2))
     assert block_contains(RS3, shifted, lam, 5, 1)
@@ -331,7 +333,7 @@ def test_block_symmetry_sl3(a, b, c, d):
 
 def test_block_contains_weyl_translates():
     for lam in [(-3, 4), (2, 2), (0, 1)]:
-        for w in RS3.weyl:
+        for w in brute_weyl_group(SL3):
             moved = dot_action(RS3, w, lam)
             assert block_contains(RS3, moved, lam, 3, 2)
             assert block_contains(RS3, add_weights(moved, (9, 0)), lam, 3, 2)
@@ -356,90 +358,105 @@ BLOCK_TYPES = {
 @pytest.mark.parametrize("name", list(BLOCK_TYPES))
 def test_coset_factorization_certifies(name):
     rs = build_root_system(BLOCK_TYPES[name])
-    j, _, stabilizer, reps, _, _ = rs.coset_factorization
+    j, _, stabilizer, reps, bound = rs.coset_factorization
+    weyl = brute_weyl_group(rs.cartan)
     n = rs.rank
+    assert not (stabilizer.flags.writeable or reps.flags.writeable)
     # W_J fixes omega_j: column j of each of its elements is e_j
     assert (stabilizer[:, :, j] == np.eye(n, dtype=np.int64)[j]).all()
-    assert len(stabilizer) * len(reps) == len(rs.weyl)
+    assert len(stabilizer) * len(reps) == len(weyl)
     products = {
         tuple(map(tuple, np.array(u) @ np.array(r)))
         for u in stabilizer.tolist()
         for r in reps.tolist()
     }
-    assert products == set(rs.weyl)
+    assert products == set(weyl)
+    assert bound == max(abs(x) for part in (stabilizer, reps) for x in part.flat)
     # j minimizes |W_J| + |R| over the nodes
     for i in range(n):
-        size = sum(all(w[k][i] == int(k == i) for k in range(n)) for w in rs.weyl)
-        assert len(stabilizer) + len(reps) <= size + len(rs.weyl) // size
+        size = sum(all(w[k][i] == int(k == i) for k in range(n)) for w in weyl)
+        assert len(stabilizer) + len(reps) <= size + len(weyl) // size
 
 
-@pytest.mark.parametrize("name, sizes", [("F4", (48, 24)), ("A5", (36, 20)), ("A1", (1, 2))])
+@pytest.mark.parametrize(
+    "name, sizes",
+    [("F4", (48, 24)), ("A5", (36, 20)), ("A1", (1, 2)), ("G2", (2, 6)), ("E6", (240, 216))],
+)
 def test_coset_factorization_sizes(name, sizes):
-    factorization = build_root_system(BLOCK_TYPES[name]).coset_factorization
+    spec = BLOCK_TYPES[name] if name in BLOCK_TYPES else CartanSpec(cartan_e(6))
+    factorization = build_root_system(spec).coset_factorization
     assert (len(factorization.stabilizer), len(factorization.representatives)) == sizes
+
+
+def refused(rs, match, **parts):
+    """certify_factorization must refuse the factorization of `rs` with `parts` replaced."""
+    tampered = rs.coset_factorization._replace(**parts)
+    with pytest.raises(CertificateError, match=match):
+        certify_factorization(rs.simple_reflections, tampered)
+
+
+def not_a_word(rs, element):
+    """An integer matrix with the row c * element of `element`, and no product of
+    simple reflections: a multiple of an outer product v e_0^T with c * v = 0 added."""
+    c = rs.coset_factorization.coweight
+    v = np.zeros(rs.rank, dtype=np.int64)
+    v[0], v[1] = c[1], -c[0]
+    other = element + 7 * np.outer(v, np.eye(rs.rank, dtype=np.int64)[0])
+    assert np.array_equal(c @ other, c @ element) and np.abs(other).max() > 7
+    return other
 
 
 @pytest.mark.parametrize("name", ["A2", "F4"])
 def test_coset_factorization_refuses_a_duplicated_representative(name):
     rs = build_root_system(BLOCK_TYPES[name])
     factorization = rs.coset_factorization
-    reps, at = factorization.representatives, factorization.representative_index
-
-    def with_reps(index):
-        return factorization._replace(
-            representatives=rs.weyl_array[index], representative_index=index
-        )
-
-    duplicated = at.copy()
-    duplicated[-1] = at[0]
-    with pytest.raises(CertificateError, match="distinct elements of W"):
-        certify_factorization(rs.weyl_array, with_reps(duplicated))
+    certify_factorization(rs.simple_reflections, factorization)
+    stabilizer, reps = factorization.stabilizer, factorization.representatives
+    duplicated = reps.copy()
+    duplicated[-1] = reps[0]
+    refused(rs, "the same coset", representatives=duplicated)
     # another element u * r of the first representative's coset, u != 1
-    other = (factorization.stabilizer[-1] @ reps[0]).tolist()
-    coset_mate = at.copy()
-    coset_mate[-1] = rs.weyl.index(tuple(map(tuple, other)))
-    assert coset_mate[-1] != at[0]
-    with pytest.raises(CertificateError, match="the same coset"):
-        certify_factorization(rs.weyl_array, with_reps(coset_mate))
-    with pytest.raises(CertificateError, match=r"\|W_J\| \* \|R\|"):
-        certify_factorization(rs.weyl_array, with_reps(at[1:]))
-    # W_J with an element that moves omega_j, or without one that fixes it
-    stabilizer, at = factorization.stabilizer, factorization.stabilizer_index
-    moved = np.concatenate([at[1:], factorization.representative_index[-1:]])
-    with pytest.raises(CertificateError, match="not the stabilizer"):
-        certify_factorization(
-            rs.weyl_array,
-            factorization._replace(stabilizer=rs.weyl_array[moved], stabilizer_index=moved),
-        )
-    with pytest.raises(CertificateError, match="not the stabilizer"):
-        certify_factorization(
-            rs.weyl_array,
-            factorization._replace(stabilizer=stabilizer[1:], stabilizer_index=at[1:]),
-        )
+    coset_mate = reps.copy()
+    coset_mate[-1] = stabilizer[-1] @ reps[0]
+    assert not np.array_equal(coset_mate[-1], reps[0])
+    refused(rs, "the same coset", representatives=coset_mate)
+    # R without its last orbit point: still distinct words, but not closed
+    refused(rs, "not the whole orbit", representatives=reps[:-1])
+
+
+@pytest.mark.parametrize("name", ["A2", "F4"])
+def test_coset_factorization_refuses_a_wrong_stabilizer(name):
+    rs = build_root_system(BLOCK_TYPES[name])
+    factorization = rs.coset_factorization
+    stabilizer, reps = factorization.stabilizer, factorization.representatives
+    # a W_J element that moves c: a representative other than the identity
+    moved = stabilizer.copy()
+    moved[-1] = reps[-1]
+    refused(rs, "W_J moves the coweight", stabilizer=moved)
+    # W_J without one element: still words, but not closed under its generators
+    refused(rs, "not closed under the s_i", stabilizer=stabilizer[:-1])
+    # c must pair positively with alpha_j and to 0 with the other simple roots
+    refused(rs, "not a positive multiple", coweight=-factorization.coweight)
+    refused(rs, "not a positive multiple", coweight=factorization.coweight + 1)
 
 
 @pytest.mark.parametrize("name", ["A2", "F4"])
 def test_coset_factorization_refuses_elements_outside_w_or_repeated(name):
     rs = build_root_system(BLOCK_TYPES[name])
     factorization = rs.coset_factorization
-    stabilizer, at = factorization.stabilizer, factorization.stabilizer_index
-    refused = []
-    # one element of W_J in place of another: the count still matches
-    doubled = at.copy()
-    doubled[-1] = at[0]
-    refused.append(
-        factorization._replace(stabilizer=rs.weyl_array[doubled], stabilizer_index=doubled)
-    )
-    # arrays that are not the rows of W at their indices
-    refused.append(factorization._replace(stabilizer=stabilizer * 2))
-    refused.append(factorization._replace(representatives=factorization.representatives[::-1]))
-    # an index past the end of W
-    past = at.copy()
-    past[-1] = len(rs.weyl_array)
-    refused.append(factorization._replace(stabilizer_index=past))
-    for tampered in refused:
-        with pytest.raises(CertificateError, match="distinct elements of W"):
-            certify_factorization(rs.weyl_array, tampered)
+    stabilizer, reps = factorization.stabilizer, factorization.representatives
+    # a matrix that agrees with a representative on c but is not in W
+    outside = reps.copy()
+    outside[-1] = not_a_word(rs, reps[-1])
+    refused(rs, "R holds an element that is not a product", representatives=outside)
+    outside = stabilizer.copy()
+    outside[-1] = not_a_word(rs, stabilizer[-1])
+    refused(rs, "W_J holds an element that is not a product", stabilizer=outside)
+    # an element of W_J listed twice
+    refused(rs, "W_J repeats an element", stabilizer=np.concatenate([stabilizer, stabilizer[-1:]]))
+    # parts that do not start at the identity
+    refused(rs, "R does not start at the identity", representatives=reps[::-1])
+    refused(rs, "W_J does not start at the identity", stabilizer=stabilizer[1:])
 
 
 def test_weights_of_the_wrong_length_are_refused():
@@ -462,7 +479,7 @@ def block_cases(rs, p, r, rng, base=0):
     span = 3 * p**r
     lam = tuple(base + rng.randint(-span, span) for _ in range(n))
     dep = depth(rs, lam, p)
-    moved = dot_action(rs, rng.choice(rs.weyl), lam)
+    moved = dot_action(rs, rng.choice(brute_weyl_group(rs.cartan)), lam)
     shift = [p**r * rng.randint(-3, 3) for _ in range(n)]
     if dep != NEG_INFINITY:
         x = [rng.randint(-3, 3) for _ in range(n)]
@@ -525,8 +542,9 @@ def test_block_contains_matches_weyl_walk_at_uneven_smith_diagonal(name, rounds)
 
 def int64_edge(rs, lattice):
     """The largest max|v_i| over gamma + rho and lam + rho that block_contains
-    still decides in int64: n * max|u_ij| * n * max|w_ij| * max|v_i| < 2^63."""
-    return (2**63 - 1) // (rs.rank**2 * lattice.u_bound * rs.weyl_entry_bound)
+    still decides in int64: n * max|u_ij| * n * max|w_ij| * max|v_i| < 2^63,
+    w over W_J and R."""
+    return (2**63 - 1) // (rs.rank**2 * lattice.u_bound * rs.coset_factorization.entry_bound)
 
 
 @pytest.mark.parametrize("name", list(BLOCK_TYPES))
@@ -542,7 +560,7 @@ def test_block_contains_exact_beyond_int64(name, monkeypatch):
     answers = []
     for p, r in ((3, 1), (5, 2), (7, 3), (11, 2)):
         # block_cases keeps lam[0] within 3 p^r of base
-        base = -(-2**63 // (rs.rank**2 * rs.weyl_entry_bound)) + 3 * p**r
+        base = -(-2**63 // (rs.rank**2 * rs.coset_factorization.entry_bound)) + 3 * p**r
         for gamma, lam in block_cases(rs, p, r, rng, base=base):
             want = walk_block_contains(rs, gamma, lam, p, r)
             assert block_contains(rs, gamma, lam, p, r) == want, (gamma, lam, p, r)
@@ -553,7 +571,7 @@ def test_block_contains_exact_beyond_int64(name, monkeypatch):
 
 def test_block_contains_int64_bound_edge(monkeypatch):
     # A1 at p = 3, r = 1 with depth(lam) = 1: the lattice is 3Z, U = (+-1),
-    # every Weyl entry is +-1, so the bound is max(|gamma + 1|, |lam + 1|)
+    # every entry of W_J and R is +-1, so the bound is max(|gamma + 1|, |lam + 1|)
     lam = (2**60,)
     assert int64_edge(RS2, translation_lattice(RS2, 1, 3, 1)) == 2**63 - 1
     seen = record_dtypes(monkeypatch)
@@ -585,14 +603,14 @@ def test_block_contains_exact_when_the_smith_diagonal_leaves_int64(name, monkeyp
 
 def test_block_contains_int64_bound_edge_g2(monkeypatch):
     # G2 at p = 5, r = 2 with depth(lam) = 1 < r: U is the Smith transform
-    # ((1, 0), (2, 1)) of the Cartan matrix and the Weyl entries reach 3,
+    # ((1, 0), (2, 1)) of the Cartan matrix and the entries of W_J and R reach 3,
     # so the edge is (2^63 - 1) // (4 * 2 * 3)
     rs = build_root_system(BLOCK_TYPES["G2"])
     lam = (1, 0)
     assert depth(rs, lam, 5) == 1
     lattice = translation_lattice(rs, 1, 5, 2)
     assert lattice.u.tolist() == [[1, 0], [2, 1]]
-    assert (lattice.u_bound, rs.weyl_entry_bound) == (2, 3)
+    assert (lattice.u_bound, rs.coset_factorization.entry_bound) == (2, 3)
     edge = int64_edge(rs, lattice)
     assert edge == (2**63 - 1) // 24
     seen = record_dtypes(monkeypatch)
