@@ -96,7 +96,7 @@ class GF:
             raise ValueError(f"unsupported extension degree k = {self.k}")
         if self.k == 2 and self.p == 2:
             raise ValueError("quadratic extension of F_2 not supported")
-        # mul, kron and rref multiply reduced entries in int64; over F_{p^2},
+        # mul and rref multiply reduced entries in int64; over F_{p^2},
         # mul forms a0 b0 + c a1 b1
         bound = (self.p - 1) ** 2 * (1 if self.k == 1 else 1 + self.nonresidue)
         if bound >= _INT64_SAFE:
@@ -214,14 +214,6 @@ class GF:
             if not e:
                 return result
             base = self.matmul(base, base)
-
-    def kron(self, A, B):
-        if self.k != 1:
-            raise NotImplementedError("kron only needed over the prime field")
-        A = np.asarray(A, dtype=np.int64) % self.p
-        B = np.asarray(B, dtype=np.int64) % self.p
-        (a0, a1), (b0, b1) = A.shape, B.shape
-        return (A[:, None, :, None] * B[None, :, None, :]).reshape(a0 * b0, a1 * b1) % self.p
 
     def rref(self, A):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""

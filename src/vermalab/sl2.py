@@ -383,48 +383,49 @@ def restrict_to_r1(mod: FpModule) -> FpModule:
     return restrict_labels(mod, list(R1_LABELS))
 
 
-def _divided_powers(f: GF, g):
-    # g^(1), ..., g^(p-1) of a primitive generator, stacked, where
+def _coproduct_stack(mod: FpModule, label: str):
+    # X^(0), ..., X^(k) of the label's generator X, stacked: [1, X] for a
+    # primitive one, and 1, g^(1), ..., g^(p-1), g_p for g_p, where
     # g^(i) = g^(i-1) g / i
-    out = [g]
+    f = mod.field
+    base = label.removesuffix("_p")
+    if base == label:
+        return np.stack([f.identity(mod.dim), mod.ops[label]])
+    g = mod.ops[base]
+    out = [f.identity(mod.dim), g]
     for i in range(2, f.p):
         out.append(f.mul(f.matmul(out[-1], g), f.inv(i)))
+    out.append(mod.ops[label])
     return np.stack(out)
 
 
 def tensor(m: FpModule, n: FpModule) -> FpModule:
     """Tensor product with the Hopf-algebra action.
 
-    Primitive generators act as g(x)1 + 1(x)g.  At level 2 the divided
-    powers act through the full coproduct, whose middle terms need the
-    intermediate divided powers g^(i) = g^i / i! of each factor:
+    Every label X of divided-power degree k acts through its coproduct
+    Delta(X^(k)) = sum_{0<=i<=k} X^(i) (x) X^(k-i) (Kostant's Z-form):
+    1 (x) g + g (x) 1 for a primitive g, and for e_p
 
-        e_p -> e_p(x)1 + 1(x)e_p + sum_{0<i<p} e^(i) (x) e^(p-i)
+        e_p -> sum_{0<=i<=p} e^(i) (x) e^(p-i),  e^(i) = e^i / i!, e^(p) = e_p
+
+    and f_p alike.
+
+    Each sum is one product contracting over i: the (a^2, k+1) stack of
+    left factors by the reversed (k+1, b^2) stack of right ones, then
+    entry (r, s, t, u) moved to row r b + t and column s b + u.
     """
     if m.field != n.field or set(m.labels) != set(n.labels):
         raise SchemaMismatch("tensor factors disagree on field or labels")
     schema = schema_of(m)
     f = m.field
-    im = f.identity(m.dim)
-    inn = f.identity(n.dim)
+    a, b = m.dim, n.dim
     ops = {}
-    for g in R1_LABELS:
-        ops[g] = f.add(f.kron(m.ops[g], inn), f.kron(im, n.ops[g]))
-    if schema.r == 2:
-        a, b = m.dim, n.dim
-        for g, gp in (("e", "e_p"), ("f", "f_p")):
-            # sum_i g^(i) (x) g^(p-i) as one product contracting over i: the
-            # (a^2, p-1) stack of left factors by the (p-1, b^2) stack of
-            # right ones, then entry (r, s, t, u) moved to row r b + t and
-            # column s b + u, as kron places it
-            left = _divided_powers(f, m.ops[g]).reshape(f.p - 1, a * a)
-            right = _divided_powers(f, n.ops[g])[::-1].reshape(f.p - 1, b * b)
-            middle = f.matmul(left.T, right).reshape(a, a, b, b).transpose(0, 2, 1, 3)
-            ops[gp] = f.add(
-                f.add(f.kron(m.ops[gp], inn), f.kron(im, n.ops[gp])),
-                middle.reshape(a * b, a * b),
-            )
-    out = FpModule(f, m.dim * n.dim, ops)
+    for label in schema.labels:
+        left = _coproduct_stack(m, label)
+        right = _coproduct_stack(n, label)[::-1]
+        terms = f.matmul(left.reshape(len(left), a * a).T, right.reshape(len(right), b * b))
+        ops[label] = terms.reshape(a, a, b, b).transpose(0, 2, 1, 3).reshape(a * b, a * b)
+    out = FpModule(f, a * b, ops)
     schema.check(out)
     return out
 

@@ -6,6 +6,7 @@ python ints, list-of-list matrices, and direct definitions.  The last
 two sections are the exceptions: random test data, and earlier, plainer
 forms of package routines that faster code replaced.
 """
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -531,6 +532,30 @@ def reference_sl2_failure(mod, p, r):
         if not np.array_equal(got, want):
             return name
     return None
+
+
+def reference_tensor(m, n):
+    """The operators of the tensor product m (x) n, each summed term by
+    term from np.kron (the two assembly paths that one coproduct
+    contraction replaced): g (x) 1 + 1 (x) g for e, f and h, and at
+    level 2 also e_p (x) 1 + 1 (x) e_p + sum_{0<i<p} e^(i) (x) e^(p-i),
+    each divided power e^(i) taken from its own matrix power, e^i (i!)^-1
+    (likewise for f_p)."""
+    f = m.field
+    p = f.p
+    im, inn = f.identity(m.dim), f.identity(n.dim)
+
+    def divided(x, i):
+        return f.mul(f.matpow(x, i), f.inv(math.factorial(i) % p))
+
+    ops = {g: (np.kron(m.ops[g], inn) + np.kron(im, n.ops[g])) % p for g in ("e", "f", "h")}
+    if "e_p" in m.ops:
+        for g, gp in (("e", "e_p"), ("f", "f_p")):
+            total = np.kron(m.ops[gp], inn) + np.kron(im, n.ops[gp])
+            for i in range(1, p):
+                total += np.kron(divided(m.ops[g], i), divided(n.ops[g], p - i))
+            ops[gp] = total % p
+    return ops
 
 
 def integer_power_trace(mat, e):

@@ -35,7 +35,7 @@ LARGEST_PRIME = 3_037_000_493  # the largest prime with (p-1)^2 < 2^63
 
 def test_field_rejects_primes_whose_products_overflow_int64():
     # at p = 3,037,000,507 the int64 product (p-1)(p-1) wrapped around,
-    # and mul and kron returned 290,948,287 instead of 1
+    # and mul returned 290,948,287 instead of 1
     assert (LARGEST_PRIME - 1) ** 2 < 2**63 <= (3_037_000_507 - 1) ** 2
     with pytest.raises(ValueError, match="2\\^63"):
         GF(3_037_000_507)
@@ -51,9 +51,6 @@ def test_largest_prime_matches_the_oracles():
     p = F.p
     top = np.array([[p - 1, p - 2], [1, p - 1]], dtype=np.int64)
     assert np_to_lists(F.mul(top, top)) == [[x * x % p for x in row] for row in np_to_lists(top)]
-    rows = np_to_lists(top)
-    want = [[a * b % p for a in row_a for b in row_b] for row_a in rows for row_b in rows]
-    assert np_to_lists(F.kron(top, top)) == want
     rng = np.random.default_rng(7)
     A = rng.integers(0, p, size=(12, 24))
     A[:, 5] = 2 * A[:, 2] % p  # a non-pivot column
@@ -198,16 +195,6 @@ def test_matpow():
     A = np.array([[1, 1], [0, 1]], dtype=np.int64)
     assert np.array_equal(F.matpow(A, 13), np.array([[1, 13 % 7], [0, 1]]))
     assert np.array_equal(F.matpow(A, 0), F.identity(2))
-
-
-def test_kron_prime_field_only():
-    F = GF(3)
-    A = np.array([[1, 2]], dtype=np.int64)
-    B = np.array([[2], [1]], dtype=np.int64)
-    K = F.kron(A, B)
-    assert K.shape == (2, 2)
-    with pytest.raises(NotImplementedError):
-        GF(3, 2).kron(A, B)
 
 
 def test_column_space_basis():

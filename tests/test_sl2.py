@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import vermalab.modules
 import vermalab.sl2
-from oracles import intertwiner_basis, reference_sl2_failure
+from oracles import intertwiner_basis, reference_sl2_failure, reference_tensor
 from vermalab.gf import GF
 from vermalab.modules import (
     CertificateError,
@@ -180,6 +180,57 @@ def test_schema_check_names_the_relation_a_broken_operator_fails():
     ep[0, 1] = 1
     broken = FpModule(mod.field, mod.dim, {**mod.ops, "e_p": ep})
     assert "[h, e_p] = 0" in check_failure(schema, broken)
+
+
+def cross_level_relations(mod):
+    """Whether [e, f_p] = f^(p-1)(h + 1) and [e_p, f] = (h + 1)e^(p-1) hold,
+    multiplied out densely, with g^(p-1) the divided power g^(p-1) / (p-1)!;
+    both are Kostant's formula for e^(c) f^(a) reduced mod p."""
+    f = mod.field
+    p = f.p
+    e, fm, h, ep, fp = (mod.ops[x] for x in ("e", "f", "h", "e_p", "f_p"))
+    shifted = f.add(h, f.identity(mod.dim))
+
+    def divided(x):
+        return f.mul(f.matpow(x, p - 1), f.inv(math.factorial(p - 1) % p))
+
+    def bracket(a, b):
+        return f.sub(f.matmul(a, b), f.matmul(b, a))
+
+    return (
+        np.array_equal(bracket(e, fp), f.matmul(divided(fm), shifted)),
+        np.array_equal(bracket(ep, fm), f.matmul(shifted, divided(e))),
+    )
+
+
+# (label, lam) with X^2 != 0 on Z_2(lam) at p = 3; e_p^2 = 0 on Z_2(4),
+# where the deformation changes nothing
+DEFORMED = [("f_p", 0), ("f_p", 1), ("f_p", 4), ("e_p", 0), ("e_p", 1)]
+
+
+def deformed_verma(label, lam):
+    # Z_2(lam) at p = 3 with X replaced by X + X^2
+    mod = build_verma_r2(Sl2Schema(3, 2), lam)
+    f, x = mod.field, mod.ops[label]
+    return mod, FpModule(f, mod.dim, {**mod.ops, label: f.add(x, f.matmul(x, x))})
+
+
+@pytest.mark.parametrize("label, lam", DEFORMED)
+def test_deformed_divided_powers_break_a_cross_level_relation(label, lam):
+    mod, deformed = deformed_verma(label, lam)
+    assert cross_level_relations(mod) == (True, True)
+    assert cross_level_relations(deformed) == (label == "e_p", label == "f_p")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="no level-2 relation pairs a raising and a lowering operator across levels",
+)
+@pytest.mark.parametrize("label, lam", DEFORMED)
+def test_schema_check_refuses_a_deformed_divided_power(label, lam):
+    _, deformed = deformed_verma(label, lam)
+    check_failure(Sl2Schema(3, 2), deformed)
 
 
 def test_schema_check_takes_weights_to_the_p_th_power_mod_p():
@@ -813,6 +864,39 @@ def test_tensor_dimension_and_unit():
     assert bool(is_isomorphic(t, z))
     big = tensor(z, build_simple(s, 2))
     assert big.dim == z.dim * 3
+
+
+def tensor_oracle_cases(p):
+    s1, s2 = Sl2Schema(p, 1), Sl2Schema(p, 2)
+    f = s1.field
+    lifted = [restricted_as_r2(build_simple(s1, lam)) for lam in (p - 3, 3)]
+    return [
+        (build_simple(s1, 2), build_verma_r1(s1, 3)),
+        (steinberg(s1), build_simple(s1, 1)),
+        # e^(i) and e^(p-i) both act for some 0 < i < p, so the middle
+        # terms of the coproduct of e_p and f_p are nonzero
+        (lifted[0], lifted[1]),
+        (build_verma_r2(s2, p + 2), lifted[1]),
+        (frobenius_twist(build_simple(s1, 2)), build_verma_r2(s2, 1)),
+        (FpModule(f, 0, {x: f.zeros(0, 0) for x in s2.labels}), lifted[1]),
+    ]
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_tensor_matches_the_kron_sum_oracle(p):
+    cases = tensor_oracle_cases(p)
+    for m, n in cases:
+        assert m.dim != n.dim
+        for left, right in ((m, n), (n, m)):
+            t = tensor(left, right)
+            want = reference_tensor(left, right)
+            assert t.labels == tuple(want) and t.dim == left.dim * right.dim
+            for label in t.labels:
+                assert np.array_equal(t.ops[label], want[label]), (p, left.dim, right.dim, label)
+    m, n = cases[2]
+    f = m.field
+    ends = f.add(np.kron(m.ops["e_p"], f.identity(n.dim)), np.kron(f.identity(m.dim), n.ops["e_p"]))
+    assert not np.array_equal(tensor(m, n).ops["e_p"], ends)
 
 
 def test_tensor_schema_mismatch():

@@ -52,3 +52,15 @@ def test_float64_products_only_in_gf():
         if "float64" in line or "_FLOAT_EXACT" in line
     ]
     assert found == []
+
+
+def test_one_tensor_path():
+    # every tensor operator is one coproduct contraction in sl2.tensor, so
+    # no file assembles a second one from Kronecker products
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "kron" in line
+    ]
+    assert found == []
