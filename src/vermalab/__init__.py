@@ -34,8 +34,7 @@ from .rootsys import (
 from .sl2 import (
     Sl2Schema,
     build_simple,
-    build_verma_r1,
-    build_verma_r2,
+    build_verma,
     frobenius_twist,
     library,
     rank_variety_scan,
@@ -85,8 +84,7 @@ __all__ = [
     "psi_set",
     "Sl2Schema",
     "build_simple",
-    "build_verma_r1",
-    "build_verma_r2",
+    "build_verma",
     "frobenius_twist",
     "library",
     "rank_variety_scan",

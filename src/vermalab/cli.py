@@ -23,8 +23,7 @@ from .rootsys import (
 from .sl2 import (
     Sl2Schema,
     build_simple,
-    build_verma_r1,
-    build_verma_r2,
+    build_verma,
     hyper_simples,
     library,
     run_sl2_suites,
@@ -269,7 +268,7 @@ def _build_module(kind: str, p: int, r: int, lam: int):
     if kind == "steinberg":
         return steinberg(schema)
     if kind == "verma":
-        return build_verma_r1(schema, lam) if r == 1 else build_verma_r2(schema, lam)
+        return build_verma(schema, lam)
     if kind == "simple":
         if r == 1:
             return build_simple(schema, lam)

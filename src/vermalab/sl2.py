@@ -1,14 +1,16 @@
 """Exact SL(2) Frobenius-kernel modules over small prime fields.
 
 Modules with r = 1 live over the restricted enveloping algebra and
-carry generator labels e, f, h.  Modules with r = 2 additionally carry
-the divided powers e_p and f_p of the hyperalgebra.  All matrices act
-on column vectors, so ``ops[label][j, i]`` is the coefficient of basis
-vector j in the image of basis vector i.
+carry generator labels e, f, h.  Each further level adds the divided
+powers e^(p^k), f^(p^k) of the hyperalgebra that its row of LEVELS
+names (e_p and f_p at r = 2).  All matrices act on column vectors, so
+``ops[label][j, i]`` is the coefficient of basis vector j in the image
+of basis vector i.
 
-The `build_*` builders, `tensor`, `frobenius_twist` and
-`restricted_as_r2` run Sl2Schema.check on what they return, at both
-levels; the covers are summands of checked tensors.  What level two
+The `build_*` builders, `tensor`, `frobenius_twist` and `pad` run
+Sl2Schema.check on what they return, at every level; `restrict` keeps
+a checked module's relations, and the covers are summands of checked
+tensors.  What level two
 does not check yet are the relations that pair a raising operator
 with a lowering one across levels ([e, f_p], [e_p, f], [e_p, f_p]); the
 verification suites at the bottom of this file (character bookkeeping,
@@ -51,8 +53,8 @@ from .modules import (
 from .rootsys import CartanSpec, build_root_system
 from .verma import block_contains, depth
 
-R1_LABELS = ("e", "f", "h")
-R2_LABELS = ("e", "f", "h", "e_p", "f_p")
+# row k: the divided powers e^(p^k), f^(p^k) that kernel level k + 1 adds
+LEVELS = (("e", "f"), ("e_p", "f_p"))
 
 
 class DimensionNotDivisible(ValueError):
@@ -65,9 +67,9 @@ class Sl2Schema:
 
     r = 1 uses labels {e, f, h} subject to the restricted relations
     [e,f] = h, [h,e] = 2e, [h,f] = -2f, e^p = f^p = 0, h^p = h.
-    r = 2 adds the divided-power labels {e_p, f_p}; the commutators
-    that close over this label set ([h, e_p] = [h, f_p] = 0 and
-    [e, e_p] = [f, f_p] = 0, plus p-th powers vanishing) are checked
+    Each further level adds the divided powers of the next row of LEVELS;
+    the commutators that close over the label set ([h, e_p] = [h, f_p] = 0
+    and [e, e_p] = [f, f_p] = 0, plus p-th powers vanishing) are checked
     on every constructed module.  Modules come in a weight basis, with
     h diagonal; `check` refuses any other.
     """
@@ -78,12 +80,16 @@ class Sl2Schema:
     def __post_init__(self):
         if not is_prime(self.p) or self.p < 3:
             raise ValueError(f"p = {self.p} must be an odd prime")
-        if self.r not in (1, 2):
+        if not 1 <= self.r <= len(LEVELS):
             raise ValueError(f"unsupported kernel level r = {self.r}")
 
     @property
+    def levels(self) -> tuple[tuple[str, str], ...]:
+        return LEVELS[: self.r]
+
+    @property
     def labels(self) -> tuple[str, ...]:
-        return R1_LABELS if self.r == 1 else R2_LABELS
+        return sum(self.levels[1:], (*LEVELS[0], "h"))
 
     @property
     def field(self) -> GF:
@@ -111,41 +117,32 @@ class Sl2Schema:
             raise SchemaMismatch("h is not diagonal, so the basis is not a weight basis")
         p = self.p
         ops = mod.ops
-        # the h-weight c of every operator X besides h: [h, X] = cX
-        weights = {"e": 2, "f": p - 2}
-        pairs = [("e", "f")]
-        if self.r == 2:
-            weights.update(e_p=0, f_p=0)
-            pairs += [("e", "e_p"), ("f", "f_p")]
+        # level k: e^(p^k) and f^(p^k) have h-weights 2p^k and -2p^k, and
+        # commute with the raising and the lowering operators of the levels
+        # below; the table keys [h, X] = cX by ("h", x)
+        weights, pairs, table = {}, [("e", "f")], [("[e, f] = h", ("e", "f"))]
+        for k, level in enumerate(self.levels):
+            below = [(lower[i], g) for i, g in enumerate(level) for lower in self.levels[:k]]
+            for g, c in zip(level, (2 * p**k, -2 * p**k)):
+                weights[g] = c % p
+                table.append((f"[h, {g}] = {c}{g}" if c % p else f"[h, {g}] = 0", ("h", g)))
+            pairs += below
+            table += [(f"[{a}, {b}] = 0", (a, b)) for a, b in below]
+            table += [(f"{g}^p = 0", g) for g in level]
         # with h = diag(d), [h, X] has entries (d_i - d_j) X_ij, so [h, X] = cX
         # says that X vanishes wherever d_i - d_j != c
         gaps = (d[:, None] - d[None, :]) % p
         weighted = {x: not np.any(ops[x][gaps != c]) for x, c in weights.items()}
         graded = {x: ops[x] for x in weights if weighted[x]}
         holds = _graded_relations(f, d, graded, weights, pairs, ops["h"]) if graded else {}
+        holds.update({("h", x): ok for x, ok in weighted.items()})
         # [e, f] = h comes first in the table, so it is multiplied out when e
         # or f is off its weight; any other relation missing from holds comes
         # after the failed weight relation of one of its operators
         if ("e", "f") not in holds:
             holds["e", "f"] = not np.any(f.sub(_bracket(f, ops["e"], ops["f"]), ops["h"]))
-        relations = [
-            ("[e, f] = h", holds["e", "f"]),
-            ("[h, e] = 2e", weighted["e"]),
-            ("[h, f] = -2f", weighted["f"]),
-            ("e^p = 0", holds.get("e")),
-            ("f^p = 0", holds.get("f")),
-        ]
-        if self.r == 2:
-            relations += [
-                ("[h, e_p] = 0", weighted["e_p"]),
-                ("[h, f_p] = 0", weighted["f_p"]),
-                ("[e, e_p] = 0", holds.get(("e", "e_p"))),
-                ("[f, f_p] = 0", holds.get(("f", "f_p"))),
-                ("e_p^p = 0", holds.get("e_p")),
-                ("f_p^p = 0", holds.get("f_p")),
-            ]
-        for name, ok in relations:
-            if not ok:
+        for name, key in table:
+            if not holds.get(key):
                 raise CertificateError(f"relation {name} fails at p = {p}, r = {self.r}")
 
 
@@ -228,11 +225,10 @@ def _graded_relations(f: GF, d, ops, weights, pairs, h) -> dict:
 def schema_of(mod: FpModule) -> Sl2Schema:
     """Recover the schema of a constructed module from its label set."""
     labels = set(mod.labels)
-    if labels == set(R1_LABELS):
-        return Sl2Schema(mod.field.p, 1)
-    if labels == set(R2_LABELS):
-        return Sl2Schema(mod.field.p, 2)
-    raise SchemaMismatch(f"labels {sorted(labels)} fit neither kernel level")
+    for r in range(1, len(LEVELS) + 1):
+        if labels == {"h"}.union(*LEVELS[:r]):
+            return Sl2Schema(mod.field.p, r)
+    raise SchemaMismatch(f"labels {sorted(labels)} fit no kernel level")
 
 
 def binom_mod(n: int, k: int, p: int) -> int:
@@ -290,47 +286,34 @@ def build_simple(schema: Sl2Schema, m: int) -> FpModule:
     return _weight_chain(schema, m, m + 1)
 
 
-def build_verma_r1(schema: Sl2Schema, lam: int) -> FpModule:
-    """Baby Verma module of highest weight lam at r = 1, dimension p.
-
-    Basis m_0 .. m_{p-1} with f m_i = m_{i+1} (and f m_{p-1} = 0),
-    e m_i = i(lam-i+1) m_{i-1}, h m_i = (lam-2i) m_i.
-    """
-    return _weight_chain(schema, lam, schema.p)
-
-
 @lru_cache(maxsize=None)
-def build_verma_r2(schema: Sl2Schema, lam: int) -> FpModule:
-    """Baby Verma module of highest weight lam at r = 2, dimension p^2.
+def build_verma(schema: Sl2Schema, lam: int) -> FpModule:
+    """Baby Verma module of highest weight lam at level r, dimension p^r.
 
-    The basis vector with index i is the divided power f^(i) applied to
-    the highest weight vector.  Coefficients come from the hyperalgebra
-    commutation rules, with all binomials reduced mod p:
+    At r = 1 the basis is m_0 .. m_{p-1} with f m_i = m_{i+1} (and
+    f m_{p-1} = 0), e m_i = i(lam-i+1) m_{i-1}, h m_i = (lam-2i) m_i, so
+    m_i = i! f^(i) m_0.  From r = 2 on, the basis vector with index i is
+    the divided power f^(i) applied to the highest weight vector, and
+    each level k acts by Kostant's formula, with binomials reduced mod p:
 
-        f    f^(i) -> (i+1)      f^(i+1)
-        f_p  f^(i) -> C(i+p, p)  f^(i+p)
-        e    f^(i) -> (lam-i+1)  f^(i-1)
-        e_p  f^(i) -> C(lam-i+p, p) f^(i-p)   (absent for i < p)
-        h    f^(i) -> (lam-2i)   f^(i)
+        f^(p^k)  f^(i) -> C(i+p^k, p^k)      f^(i+p^k)
+        e^(p^k)  f^(i) -> C(lam-i+p^k, p^k)  f^(i-p^k)   (absent for i < p^k)
+        h        f^(i) -> (lam-2i)           f^(i)
     """
-    if schema.r != 2:
-        raise ValueError("r = 2 builder called with a level-1 schema")
     p = schema.p
-    n = p * p
+    if schema.r == 1:
+        return _weight_chain(schema, lam, p)
+    n = p**schema.r
     if not 0 <= lam < n:
         raise ValueError(f"weight {lam} outside 0..{n - 1}")
     f = schema.field
-    ops = {name: f.zeros(n, n) for name in R2_LABELS}
-    for i in range(n):
-        ops["h"][i, i] = (lam - 2 * i) % p
-        if i + 1 < n:
-            ops["f"][i + 1, i] = (i + 1) % p
-        if i + p < n:
-            ops["f_p"][i + p, i] = binom_mod(i + p, p, p)
-        if i >= 1:
-            ops["e"][i - 1, i] = (lam - i + 1) % p
-        if i >= p:
-            ops["e_p"][i - p, i] = binom_mod(lam - i + p, p, p)
+    ops = {name: f.zeros(n, n) for name in schema.labels}
+    i = np.arange(n)
+    ops["h"][i, i] = (lam - 2 * i) % p
+    for k, (x, y) in enumerate(schema.levels):
+        s = p**k
+        ops[y][i[s:], i[:-s]] = [binom_mod(j + s, s, p) for j in range(n - s)]
+        ops[x][i[:-s], i[s:]] = [binom_mod(lam - j + s, s, p) for j in range(s, n)]
     mod = FpModule(f, n, ops)
     schema.check(mod)
     return mod
@@ -338,49 +321,48 @@ def build_verma_r2(schema: Sl2Schema, lam: int) -> FpModule:
 
 def steinberg(schema: Sl2Schema) -> FpModule:
     """The simple projective module of highest weight p^r - 1."""
-    if schema.r == 1:
-        return build_verma_r1(schema, schema.p - 1)
-    return build_verma_r2(schema, schema.p * schema.p - 1)
+    return build_verma(schema, schema.p**schema.r - 1)
 
 
-def restricted_as_r2(mod: FpModule) -> FpModule:
-    """View an r = 1 module as an r = 2 module with zero divided powers.
+def pad(mod: FpModule, r: int) -> FpModule:
+    """View a module of level s <= r as a level-r module whose labels of levels s..r-1 act as zero.
 
-    Sound exactly when the divided powers genuinely act as zero, which
+    Sound exactly when those divided powers genuinely act as zero, which
     holds for the simple modules of restricted highest weight (raising
     any weight by 2p leaves their weight range).  The relation check
     runs regardless.
     """
-    if set(mod.labels) != set(R1_LABELS):
-        raise SchemaMismatch("expected an r = 1 module")
-    f = mod.field
-    zero = f.zeros(mod.dim, mod.dim)
-    out = FpModule(f, mod.dim, {**mod.ops, "e_p": zero, "f_p": zero})
-    Sl2Schema(f.p, 2).check(out)
+    if schema_of(mod).r > r:
+        raise SchemaMismatch(f"a module of level above {r} does not pad to level {r}")
+    schema = Sl2Schema(mod.field.p, r)
+    zero = mod.field.zeros(mod.dim, mod.dim)
+    out = FpModule(mod.field, mod.dim, {g: mod.ops.get(g, zero) for g in schema.labels})
+    schema.check(out)
     return out
+
+
+def restrict(mod: FpModule, r: int) -> FpModule:
+    """Forget the labels of the levels r and above."""
+    if schema_of(mod).r < r:
+        raise SchemaMismatch(f"a module of level below {r} has no level-{r} restriction")
+    return restrict_labels(mod, Sl2Schema(mod.field.p, r).labels)
 
 
 def frobenius_twist(mod: FpModule) -> FpModule:
-    """Precompose an r = 1 module with the Frobenius endomorphism.
+    """Precompose a level-s module with the Frobenius endomorphism.
 
-    The result is an r = 2 module: e, f, h act as zero while the
-    divided powers e_p, f_p act through the original e and f.
+    The result is a level-(s + 1) module, so s < len(LEVELS): h and the
+    labels of level 0 act as zero, and those of level k + 1 act through
+    those of level k.
     """
-    if set(mod.labels) != set(R1_LABELS):
-        raise SchemaMismatch("twist starts from an r = 1 module")
-    f = mod.field
-    zero = f.zeros(mod.dim, mod.dim)
-    ops = {"e": zero, "f": zero, "h": zero, "e_p": mod.ops["e"], "f_p": mod.ops["f"]}
-    out = FpModule(f, mod.dim, ops)
-    Sl2Schema(f.p, 2).check(out)
+    schema = Sl2Schema(mod.field.p, schema_of(mod).r + 1)
+    zero = mod.field.zeros(mod.dim, mod.dim)
+    ops = {g: zero for g in schema.labels}
+    for lower, upper in zip(schema.levels, schema.levels[1:]):
+        ops.update(zip(upper, (mod.ops[g] for g in lower)))
+    out = FpModule(mod.field, mod.dim, ops)
+    schema.check(out)
     return out
-
-
-def restrict_to_r1(mod: FpModule) -> FpModule:
-    """Forget the divided-power action of an r = 2 module."""
-    if set(mod.labels) != set(R2_LABELS):
-        raise SchemaMismatch("expected an r = 2 module")
-    return restrict_labels(mod, list(R1_LABELS))
 
 
 def _coproduct_stack(mod: FpModule, label: str):
@@ -449,14 +431,14 @@ def restricted_projectives(p: int) -> dict[str, FpModule]:
     The restriction of each lift is a summand of the projective module
     St (x) L, has simple top L(lam) and dimension 2p, so it is P(lam).
     """
-    return {simple_key(lam): restrict_to_r1(q) for lam, q in lifted_projectives(p).items()}
+    return {simple_key(lam): restrict(q, 1) for lam, q in lifted_projectives(p).items()}
 
 
 @lru_cache(maxsize=None)
 def _padded_simple(p: int, lam: int) -> FpModule:
     """The level-1 simple of highest weight lam as a level-2 module, built and checked
     once per process for the level-2 simples and the lifted covers alike."""
-    return restricted_as_r2(build_simple(Sl2Schema(p, 1), lam))
+    return pad(build_simple(Sl2Schema(p, 1), lam), 2)
 
 
 @lru_cache(maxsize=None)
@@ -480,7 +462,7 @@ def lifted_projectives(p: int) -> dict[int, FpModule]:
         found = [
             q
             for q in parts
-            if q.dim == 2 * p and top_multiplicities(restrict_to_r1(q), lib) == {key: 1}
+            if q.dim == 2 * p and top_multiplicities(restrict(q, 1), lib) == {key: 1}
         ]
         if len(found) != 1:
             raise RuntimeError(
@@ -491,16 +473,23 @@ def lifted_projectives(p: int) -> dict[int, FpModule]:
     return out
 
 
+def _twisted_products(low, high) -> dict[str, FpModule]:
+    """low[lam0] (x) high[lam1]^twist for all digits lam0, lam1 < p = len(low),
+    keyed by the weight lam0 + p lam1."""
+    p = len(low)
+    out = {}
+    for lam1 in range(p):
+        twisted = frobenius_twist(high[lam1])
+        for lam0 in range(p):
+            out[simple_key(lam0 + p * lam1)] = tensor(low[lam0], twisted)
+    return out
+
+
 @lru_cache(maxsize=None)
 def hyper_simples(p: int) -> dict[str, FpModule]:
     """Simple r = 2 modules via the tensor factorization L(a) (x) L(b)^twist."""
-    schema1 = Sl2Schema(p, 1)
-    out = {}
-    for lam1 in range(p):
-        twisted = frobenius_twist(build_simple(schema1, lam1))
-        for lam0 in range(p):
-            out[simple_key(lam0 + p * lam1)] = tensor(_padded_simple(p, lam0), twisted)
-    return out
+    low = [_padded_simple(p, lam) for lam in range(p)]
+    return _twisted_products(low, list(restricted_simples(p).values()))
 
 
 @lru_cache(maxsize=None)
@@ -510,14 +499,8 @@ def hyper_projectives(p: int) -> dict[str, FpModule]:
     Constructed as (lifted cover of the low digit) tensor (twist of the
     r = 1 cover of the high digit).
     """
-    lifted = lifted_projectives(p)
-    covers1 = restricted_projectives(p)
-    out = {}
-    for lam1 in range(p):
-        twisted = frobenius_twist(covers1[simple_key(lam1)])
-        for lam0 in range(p):
-            out[simple_key(lam0 + p * lam1)] = tensor(lifted[lam0], twisted)
-    return out
+    covers = restricted_projectives(p)
+    return _twisted_products(lifted_projectives(p), [covers[simple_key(lam)] for lam in range(p)])
 
 
 @lru_cache(maxsize=None)
@@ -595,8 +578,8 @@ def rank_variety_scan(mod: FpModule, q: int) -> RankVarietyScan:
     is free over the subalgebra it generates exactly when the (p-1)-st
     power of its action matrix has rank dim/p.
     """
-    if set(mod.labels) != set(R1_LABELS):
-        raise SchemaMismatch("rank-variety scans work on r = 1 modules")
+    if mod.field.k != 1 or schema_of(mod).r != 1:
+        raise SchemaMismatch("rank-variety scans work on r = 1 modules over a prime field")
     p = mod.field.p
     if mod.dim % p:
         raise DimensionNotDivisible(
@@ -654,11 +637,10 @@ def verify_vv6(p: int, r: int, seed: int = 0) -> CheckReport:
     top-weight simple.
     """
     schema = Sl2Schema(p, r)
-    build = build_verma_r1 if r == 1 else build_verma_r2
     lib = library(p, r)
     cases = []
     for lam in range(p**r):
-        z = build(schema, lam)
+        z = build_verma(schema, lam)
         expected = (lam + 1) % p**r == 0
         got = is_projective_module(z, lib)
         cases.append(
@@ -672,7 +654,7 @@ def verify_vv6(p: int, r: int, seed: int = 0) -> CheckReport:
         )
         if r == 2 and (lam + 1) % p == 0:
             st1 = steinberg(Sl2Schema(p, 1))
-            res = is_isomorphic(restrict_to_r1(z), direct_sum([st1] * p), seed=seed)
+            res = is_isomorphic(restrict(z, 1), direct_sum([st1] * p), seed=seed)
             cases.append(
                 {
                     "lambda": lam,
@@ -701,8 +683,8 @@ def verify_dr2(p: int, seed: int = 0) -> CheckReport:
         if depth(rs, (mu,), p) != 1:
             continue
         lam = p * mu + p - 1
-        left = build_verma_r2(schema2, lam)
-        right = tensor(frobenius_twist(build_verma_r1(schema1, mu)), st2)
+        left = build_verma(schema2, lam)
+        right = tensor(frobenius_twist(build_verma(schema1, mu)), st2)
         res = is_isomorphic(left, right, seed=seed)
         cases.append(
             {
@@ -723,7 +705,7 @@ def verify_periodicity_and_tube(p: int, seed: int = 0) -> CheckReport:
     lib = library(p, 1)
     cases = []
     for lam in range(p - 1):
-        z = build_verma_r1(schema, lam)
+        z = build_verma(schema, lam)
         o1 = syzygy(z, lib)
         o2 = syzygy(o1.module, lib)
         res = is_isomorphic(o2.module, z, seed=seed)
@@ -750,7 +732,7 @@ def verify_ar_middle_term(p: int) -> CheckReport:
     lib = library(p, 1)
     cases = []
     for lam in range(p - 1):
-        z = build_verma_r1(schema, lam)
+        z = build_verma(schema, lam)
         target = syzygy(syzygy(z, lib).module, lib).module
         o1, cocycles = ext1_cocycles(z, target, lib)
         ok = bool(cocycles)
@@ -831,7 +813,7 @@ def verify_vv4_filtration(p: int) -> CheckReport:
     f = schema.field
     cases = []
     for lam in range(p * p):
-        res = restrict_to_r1(build_verma_r2(schema, lam))
+        res = restrict(build_verma(schema, lam), 1)
         fr = f.rank(f.matpow(res.ops["f"], p - 1))
         free_ok = fr == p
         got_char = eigenvalue_multiplicities(f, res.ops["h"])

@@ -534,6 +534,38 @@ def reference_sl2_failure(mod, p, r):
     return None
 
 
+def reference_verma(p, r, lam):
+    """The operators of the baby Verma module Z_r(lam) as the two level
+    builders that one table-driven builder replaced wrote them: at r = 1
+    the weight chain m_i = f^i m_0, and at r = 2 one loop over the
+    divided powers f^(i) m_0 with each binomial taken exactly (negative
+    tops by C(n, k) = (-1)^k C(k - n - 1, k)) and then reduced mod p."""
+
+    def binom(n, k):
+        return math.comb(n, k) if n >= 0 else (-1) ** k * math.comb(k - n - 1, k)
+
+    n = p**r
+    labels = ("e", "f", "h") if r == 1 else ("e", "f", "h", "e_p", "f_p")
+    ops = {x: np.zeros((n, n), dtype=np.int64) for x in labels}
+    for i in range(n):
+        ops["h"][i, i] = (lam - 2 * i) % p
+        if r == 1:
+            if i + 1 < n:
+                ops["f"][i + 1, i] = 1
+            if i >= 1:
+                ops["e"][i - 1, i] = i * (lam - i + 1) % p
+            continue
+        if i + 1 < n:
+            ops["f"][i + 1, i] = (i + 1) % p
+        if i + p < n:
+            ops["f_p"][i + p, i] = binom(i + p, p) % p
+        if i >= 1:
+            ops["e"][i - 1, i] = (lam - i + 1) % p
+        if i >= p:
+            ops["e_p"][i - p, i] = binom(lam - i + p, p) % p
+    return ops
+
+
 def reference_tensor(m, n):
     """The operators of the tensor product m (x) n, each summed term by
     term from np.kron (the two assembly paths that one coproduct

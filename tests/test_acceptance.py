@@ -22,12 +22,11 @@ from vermalab.modules import (
 from vermalab.rootsys import CartanSpec, build_root_system
 from vermalab.sl2 import (
     Sl2Schema,
-    build_verma_r1,
-    build_verma_r2,
+    build_verma,
     frobenius_twist,
     library,
     rank_variety_scan,
-    restricted_as_r2,
+    pad,
     simple_key,
     steinberg,
     tensor,
@@ -123,7 +122,7 @@ def test_criterion_02_projectivity_three_ways():
             schema1 = Sl2Schema(p, 1)
             lib1 = library(p, 1)
             for lam in range(p):
-                z = build_verma_r1(schema1, lam)
+                z = build_verma(schema1, lam)
                 arithmetic = is_projective_verma(rs, (lam,), p, 1)
                 exts = _ext_dims_to_simples(syzygy(z, lib1), lib1)
                 homological = all(v == 0 for v in exts.values())
@@ -132,7 +131,7 @@ def test_criterion_02_projectivity_three_ways():
             schema2 = Sl2Schema(p, 2)
             lib2 = library(p, 2)
             for lam in range(p * p):
-                z = build_verma_r2(schema2, lam)
+                z = build_verma(schema2, lam)
                 arithmetic = is_projective_verma(rs, (lam,), p, 2)
                 exts = _ext_dims_to_simples(syzygy(z, lib2), lib2)
                 homological = all(v == 0 for v in exts.values())
@@ -147,7 +146,7 @@ def test_criterion_03_depth_reduction_with_witness():
         for p in (3, 5):
             schema1 = Sl2Schema(p, 1)
             schema2 = Sl2Schema(p, 2)
-            st2 = restricted_as_r2(steinberg(schema1))
+            st2 = pad(steinberg(schema1), 2)
             seen = 0
             for lam in range(p * p):
                 if depth(rs, (lam,), p) != 2:
@@ -158,8 +157,8 @@ def test_criterion_03_depth_reduction_with_witness():
                 assert d == 1
                 assert depth(rs, (mu,), p) == 1
                 assert lam == p * mu + (p - 1)
-                left = build_verma_r2(schema2, lam)
-                right = tensor(frobenius_twist(build_verma_r1(schema1, mu)), st2)
+                left = build_verma(schema2, lam)
+                right = tensor(frobenius_twist(build_verma(schema1, mu)), st2)
                 res = is_isomorphic(left, right)
                 _check_witness(res, left, right)
             assert seen == p - 1
@@ -171,7 +170,7 @@ def test_criterion_04_syzygy_periodicity():
             schema = Sl2Schema(p, 1)
             lib = library(p, 1)
             for lam in range(p - 1):
-                z = build_verma_r1(schema, lam)
+                z = build_verma(schema, lam)
                 o1 = syzygy(z, lib)
                 o2 = syzygy(o1.module, lib)
                 res = is_isomorphic(o2.module, z)
@@ -223,7 +222,7 @@ def test_criterion_08_variety_dimensions():
             schema = Sl2Schema(p, 1)
             for lam in range(p):
                 rep = classify(A1, (lam,), p, 1)
-                scan = rank_variety_scan(build_verma_r1(schema, lam), p)
+                scan = rank_variety_scan(build_verma(schema, lam), p)
                 if rep.projective:
                     assert rep.variety_dim == 0
                     assert scan.dim_estimate == 0

@@ -61,9 +61,8 @@ from vermalab.modules import (
 )
 from vermalab.sl2 import (
     Sl2Schema,
-    build_verma_r1,
-    build_verma_r2,
     build_simple,
+    build_verma,
     hyper_projectives,
     library,
     restricted_projectives,
@@ -178,7 +177,7 @@ def test_hom_restricts_generators_to_matching_eigenspaces():
     # h is diagonal on a Verma module and on a sum of them; conjugating
     # a module by a random change of basis makes its h non-diagonal
     schema = Sl2Schema(5, 1)
-    verma = build_verma_r1(schema, 3)
+    verma = build_verma(schema, 3)
     summed = direct_sum([verma, restricted_simples(5)["L3"]])
     twisted = conjugate(verma, 4)
     assert "h" in verma._diagonals and "h" in summed._diagonals
@@ -211,9 +210,8 @@ def spin_corpus():
     """Modules whose spin plans are pinned to the reference spin-up."""
     mods = []
     for p in (3, 5, 7):
-        for r, build in ((1, build_verma_r1), (2, build_verma_r2)):
-            schema = Sl2Schema(p, r)
-            mods += [build(schema, lam) for lam in range(p**r)]
+        for r in (1, 2):
+            mods += [build_verma(Sl2Schema(p, r), lam) for lam in range(p**r)]
     for p in (3, 5):
         for r in (1, 2):
             lib = library(p, r)
@@ -222,9 +220,9 @@ def spin_corpus():
     mods += [conjugate(jordan_f9(2, 2), 5), conjugate(jordan_f9(1, 1, 2), 9)]
     schema = Sl2Schema(3, 1)
     mods += [
-        conjugate(build_verma_r1(schema, 1), 4),
+        conjugate(build_verma(schema, 1), 4),
         conjugate(restricted_projectives(3)["L0"], 3),
-        conjugate(direct_sum([build_verma_r1(schema, 0), restricted_simples(3)["L1"]]), 8),
+        conjugate(direct_sum([build_verma(schema, 0), restricted_simples(3)["L1"]]), 8),
     ]
     return mods
 
@@ -264,7 +262,7 @@ def test_spin_up_refuses_a_corrupted_relation(monkeypatch):
 
     monkeypatch.setattr(_SpanBasis, "extend", hide_first_layer)
     with pytest.raises(CertificateError, match="spin-up relation does not hold"):
-        _spin_up(build_verma_r1(Sl2Schema(3, 1), 0))
+        _spin_up(build_verma(Sl2Schema(3, 1), 0))
     assert hidden
 
 
@@ -275,19 +273,19 @@ def hom_digest_corpus():
         schema = Sl2Schema(p, 1)
         level1 = [
             *restricted_simples(p).values(),
-            *(build_verma_r1(schema, lam) for lam in range(p)),
+            *(build_verma(schema, lam) for lam in range(p)),
             *restricted_projectives(p).values(),
         ]
         pairs += [(m, n) for m in level1 for n in level1]
-    vermas2 = [build_verma_r2(Sl2Schema(3, 2), lam) for lam in range(9)]
+    vermas2 = [build_verma(Sl2Schema(3, 2), lam) for lam in range(9)]
     covers2 = list(hyper_projectives(3).values())
     pairs += [(m, n) for m in vermas2 + covers2 for n in vermas2]
     pairs += [(c, c) for c in covers2]
     schema = Sl2Schema(3, 1)
     summed = direct_sum(
-        [build_verma_r1(schema, 0), restricted_simples(3)["L1"], restricted_projectives(3)["L2"]]
+        [build_verma(schema, 0), restricted_simples(3)["L1"], restricted_projectives(3)["L2"]]
     )
-    others = [build_verma_r1(schema, lam) for lam in range(3)]
+    others = [build_verma(schema, lam) for lam in range(3)]
     pairs += [(summed, summed)] + [(summed, n) for n in others] + [(m, summed) for m in others]
     f9 = [
         jordan_f9(3),
@@ -328,10 +326,10 @@ def test_memo_keys_by_content(monkeypatch):
     # modules equal in content but built separately; they share one entry
     monkeypatch.setattr(vermalab.modules, "_MEMO", {})
     s2 = Sl2Schema(5, 2)
-    a, b, c = (restrict_labels(build_verma_r2(s2, lam), ["e", "f", "h"]) for lam in (4, 9, 3))
+    a, b, c = (restrict_labels(build_verma(s2, lam), ["e", "f", "h"]) for lam in (4, 9, 3))
     assert a is not b and a._digest == b._digest != c._digest
     assert restrict_labels(a, ["f", "e", "h"])._digest != a._digest
-    steinbergs = direct_sum([build_verma_r1(Sl2Schema(5, 1), 4)] * 5)
+    steinbergs = direct_sum([build_verma(Sl2Schema(5, 1), 4)] * 5)
     calls = []
 
     def counting(m, n):
@@ -346,7 +344,7 @@ def test_memo_keys_by_content(monkeypatch):
 def test_memo_hands_out_read_only_arrays_in_fresh_lists(monkeypatch):
     monkeypatch.setattr(vermalab.modules, "_MEMO", {})
     lib = library(3, 1)
-    z = build_verma_r1(Sl2Schema(3, 1), 0)
+    z = build_verma(Sl2Schema(3, 1), 0)
     homs = vermalab.modules._hom(z, build_simple(Sl2Schema(3, 1), 0))
     assert [h.tolist() for h in homs] == [
         h.tolist() for h in hom_space(z, build_simple(Sl2Schema(3, 1), 0))
@@ -370,7 +368,7 @@ def test_memo_hands_out_read_only_arrays_in_fresh_lists(monkeypatch):
 
 CORRUPTED_INVERSE = """
 from vermalab.modules import CertificateError, _SpanBasis, hom_space
-from vermalab.sl2 import Sl2Schema, build_verma_r1
+from vermalab.sl2 import Sl2Schema, build_verma
 
 assert not __debug__
 true_inverse = _SpanBasis.inverse
@@ -383,7 +381,7 @@ def corrupted(self):
 
 
 _SpanBasis.inverse = corrupted
-z = build_verma_r1(Sl2Schema(3, 1), 0)
+z = build_verma(Sl2Schema(3, 1), 0)
 try:
     hom_space(z, z)
 except CertificateError as err:
@@ -543,7 +541,7 @@ def ext1_cases():
     for p in (3, 5, 7):
         lib = library(p, 1)
         for lam in range(p - 1):
-            z = build_verma_r1(Sl2Schema(p, 1), lam)
+            z = build_verma(Sl2Schema(p, 1), lam)
             cases.append((z, syzygy(syzygy(z, lib).module, lib).module, lib, True))
     for p in (3, 5):
         lib = library(p, 1)
@@ -600,7 +598,7 @@ def test_projectivity_by_dimension_matches_syzygy():
         level1 = [
             *lib.simples.values(),
             *lib.projectives.values(),
-            *(build_verma_r1(schema, lam) for lam in range(p)),
+            *(build_verma(schema, lam) for lam in range(p)),
         ]
         cases += [(m, lib) for m in level1]
         world = jordan_world(p)
@@ -771,7 +769,7 @@ def locality_family():
         mods.append((direct_sum(fields), "F_p^2 x F_p^3"))
     for p in (3, 5):
         lib = library(p, 1)
-        vermas = [build_verma_r1(Sl2Schema(p, 1), lam) for lam in range(p)]
+        vermas = [build_verma(Sl2Schema(p, 1), lam) for lam in range(p)]
         mods += [(s, f"simple at p={p}") for s in lib.simples.values()]
         mods += [(c, f"cover at p={p}") for c in lib.projectives.values()]
         mods += [(z, f"Verma at p={p}") for z in vermas]
@@ -863,10 +861,10 @@ def end_algebras(p):
     for sums of covers, whose radicals are larger."""
     schema = Sl2Schema(p, 1)
     covers = list(restricted_projectives(p).values())
-    mods = [*restricted_simples(p).values(), *(build_verma_r1(schema, lam) for lam in range(p))]
+    mods = [*restricted_simples(p).values(), *(build_verma(schema, lam) for lam in range(p))]
     mods += covers
     mods += [direct_sum([covers[0], covers[0]])]
-    mods += [direct_sum([covers[0], covers[1], build_verma_r1(schema, 0)])]
+    mods += [direct_sum([covers[0], covers[1], build_verma(schema, 0)])]
     return [hom_space(m, m) for m in mods]
 
 

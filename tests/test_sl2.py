@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import vermalab.modules
 import vermalab.sl2
-from oracles import intertwiner_basis, reference_sl2_failure, reference_tensor
+from oracles import intertwiner_basis, reference_sl2_failure, reference_tensor, reference_verma
 from vermalab.gf import GF
 from vermalab.modules import (
     CertificateError,
@@ -42,16 +42,15 @@ from vermalab.sl2 import (
     _finish,
     binom_mod,
     build_simple,
-    build_verma_r1,
-    build_verma_r2,
+    build_verma,
     frobenius_twist,
     hyper_projectives,
     hyper_simples,
     library,
     lifted_projectives,
     rank_variety_scan,
-    restrict_to_r1,
-    restricted_as_r2,
+    pad,
+    restrict,
     restricted_projectives,
     restricted_simples,
     run_sl2_suites,
@@ -149,7 +148,7 @@ def conjugated(mod):
 def schema_cases():
     # a level-1 simple, a level-2 Verma and a level-2 tensor L(2) (x) L(1)^twist
     s1, s2 = Sl2Schema(5, 1), Sl2Schema(3, 2)
-    return [(s1, build_simple(s1, 3)), (s2, build_verma_r2(s2, 4)), (s2, hyper_simples(3)["L5"])]
+    return [(s1, build_simple(s1, 3)), (s2, build_verma(s2, 4)), (s2, hyper_simples(3)["L5"])]
 
 
 def test_schema_check_refuses_a_non_diagonal_h():
@@ -210,7 +209,7 @@ DEFORMED = [("f_p", 0), ("f_p", 1), ("f_p", 4), ("e_p", 0), ("e_p", 1)]
 
 def deformed_verma(label, lam):
     # Z_2(lam) at p = 3 with X replaced by X + X^2
-    mod = build_verma_r2(Sl2Schema(3, 2), lam)
+    mod = build_verma(Sl2Schema(3, 2), lam)
     f, x = mod.field, mod.ops[label]
     return mod, FpModule(f, mod.dim, {**mod.ops, label: f.add(x, f.matmul(x, x))})
 
@@ -237,7 +236,7 @@ def test_schema_check_takes_weights_to_the_p_th_power_mod_p():
     # h^p = h for a diagonal h at primes where d**p would overflow int64
     for p in (19, 23):
         schema = Sl2Schema(p, 1)
-        mod = build_verma_r1(schema, 3)
+        mod = build_verma(schema, 3)
         assert "h" in mod._diagonals
         schema.check(mod)
 
@@ -259,7 +258,7 @@ def test_schema_check_names_the_failure_of_the_dense_table(p, r):
     # reference table name the same first failing relation, except that
     # an entry off the diagonal of h leaves the weight basis
     schema = Sl2Schema(p, r)
-    verma = build_verma_r1(schema, 1) if r == 1 else build_verma_r2(schema, p + 1)
+    verma = build_verma(schema, 1 if r == 1 else p + 1)
     cover = max(library(p, r).projectives.values(), key=lambda m: m.dim)
     weights = {"e": 2, "f": -2, "h": 0, "e_p": 0, "f_p": 0}
     for mod in (verma, cover):
@@ -381,15 +380,41 @@ def test_builder_range_errors():
     with pytest.raises(ValueError):
         build_simple(s1, -1)
     with pytest.raises(ValueError):
-        build_verma_r1(s1, 5)
+        build_verma(s1, 5)
     with pytest.raises(ValueError):
-        build_verma_r2(s2, 25)
+        build_verma(s2, 25)
     with pytest.raises(ValueError):
         build_simple(s2, 1)
-    with pytest.raises(ValueError):
-        build_verma_r1(s2, 1)
-    with pytest.raises(ValueError):
-        build_verma_r2(s1, 1)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("r", [1, 2])
+def test_build_verma_matches_the_level_builders(p, r):
+    # uncached, so the 121 modules at p = 11 do not stay in the builder's cache
+    schema = Sl2Schema(p, r)
+    for lam in range(p**r):
+        mod = build_verma.__wrapped__(schema, lam)
+        want = reference_verma(p, r, lam)
+        assert mod.labels == tuple(want)
+        for label, mat in want.items():
+            assert np.array_equal(mod.ops[label], mat), (p, r, lam, label)
+
+
+def test_pad_then_restrict_gives_back_each_level1_simple():
+    for p in (3, 5):
+        for mod in restricted_simples(p).values():
+            assert restrict(pad(mod, 2), 1)._digest == mod._digest
+
+
+def test_table_operations_refuse_a_missing_level():
+    s1, s2 = Sl2Schema(3, 1), Sl2Schema(3, 2)
+    with pytest.raises(SchemaMismatch):
+        restrict(build_simple(s1, 1), 2)
+    with pytest.raises(SchemaMismatch):
+        pad(build_verma(s2, 1), 1)
+    # LEVELS has no third row, so a level-2 module has no twist
+    with pytest.raises(ValueError, match="r = 3"):
+        frobenius_twist(build_verma(s2, 1))
 
 
 # -- level-1 Verma structure ---------------------------------------------
@@ -399,7 +424,7 @@ def test_verma_r1_composition_series_frozen():
     p = 5
     s = Sl2Schema(p, 1)
     lib = ModuleLibrary(restricted_simples(p))
-    z = build_verma_r1(s, 2)
+    z = build_verma(s, 2)
     assert z.dim == p
     assert top_multiplicities(z, lib) == {"L2": 1}
     rad, _ = submodule_from_columns(z, radical_submodule(z, lib))
@@ -413,7 +438,7 @@ def test_verma_socle_is_reflected_weight():
         s = Sl2Schema(p, 1)
         lib = ModuleLibrary(restricted_simples(p))
         for lam in range(p - 1):
-            z = build_verma_r1(s, lam)
+            z = build_verma(s, lam)
             assert socle_multiplicities(z, lib) == {simple_key(p - 2 - lam): 1}
 
 
@@ -421,7 +446,7 @@ def test_verma_endomorphisms_are_scalars():
     for p in (3, 5):
         s = Sl2Schema(p, 1)
         for lam in range(p):
-            z = build_verma_r1(s, lam)
+            z = build_verma(s, lam)
             assert len(hom_space(z, z)) == 1
 
 
@@ -429,16 +454,16 @@ def test_verma_hom_dims_match_block_partner_rule():
     for p in (3, 5):
         s = Sl2Schema(p, 1)
         for a in range(p):
-            za = build_verma_r1(s, a)
+            za = build_verma(s, a)
             for b in range(p):
                 want = 1 if b == a or b == (p - 2 - a) % p else 0
-                assert len(hom_space(za, build_verma_r1(s, b))) == want
+                assert len(hom_space(za, build_verma(s, b))) == want
 
 
 def test_verma_homs_match_brute_oracle():
     p = 3
     s = Sl2Schema(p, 1)
-    mods = [build_verma_r1(s, lam) for lam in range(p)]
+    mods = [build_verma(s, lam) for lam in range(p)]
     for a in mods:
         for b in mods:
             want = intertwiner_basis(as_lists(a), as_lists(b), p)
@@ -450,7 +475,7 @@ def test_cover_and_syzygy_of_verma_frozen():
     # and the second syzygy returns to the module itself
     p = 5
     lib = library(p, 1)
-    z = build_verma_r1(Sl2Schema(p, 1), 2)
+    z = build_verma(Sl2Schema(p, 1), 2)
     cover = projective_cover(z, lib)
     assert cover.module.dim == 10
     assert cover.summand_labels == ["L2"]
@@ -467,7 +492,7 @@ def test_ext_dims_frozen():
     # doubled simple in the heart forces a two-dimensional ext group
     assert ext1_dim(build_simple(s, 2), build_simple(s, 1), lib) == 2
     assert ext1_dim(build_simple(s, 2), build_simple(s, 3), lib) == 0
-    z = build_verma_r1(s, 2)
+    z = build_verma(s, 2)
     o2 = syzygy(syzygy(z, lib).module, lib)
     assert ext1_dim(z, o2.module, lib) == 1
     st = steinberg(s)
@@ -485,7 +510,7 @@ def test_cover_computes_each_hom_to_a_simple_once(monkeypatch):
     fresh_memo(monkeypatch)
     p = 3
     lib = library(p, 1)
-    z = build_verma_r1(Sl2Schema(p, 1), 0)
+    z = build_verma(Sl2Schema(p, 1), 0)
     tops = top_multiplicities(z, lib)
     calls = []
 
@@ -693,9 +718,9 @@ def test_lazy_candidates_keep_the_splits():
     h = hashlib.sha256()
     for p in (3, 5):
         s1 = Sl2Schema(p, 1)
-        st2 = restricted_as_r2(steinberg(s1))
+        st2 = pad(steinberg(s1), 2)
         for lam in range(p - 1):
-            for part in decompose(tensor(st2, restricted_as_r2(build_simple(s1, p - 1 - lam)))):
+            for part in decompose(tensor(st2, pad(build_simple(s1, p - 1 - lam), 2))):
                 h.update(repr((p, lam, part.dim)).encode())
                 for label in part.labels:
                     h.update(part.ops[label].tobytes())
@@ -728,10 +753,10 @@ def test_level2_tensors_match_recorded_digest():
             for key, mod in mods.items():
                 add((p, kind, key), mod)
         s1 = Sl2Schema(p, 1)
-        st2 = restricted_as_r2(steinberg(s1))
+        st2 = pad(steinberg(s1), 2)
         for mu in range(p):
             if depth(rs, (mu,), p) == 1:
-                add((p, "dr2", mu), tensor(frobenius_twist(build_verma_r1(s1, mu)), st2))
+                add((p, "dr2", mu), tensor(frobenius_twist(build_verma(s1, mu)), st2))
                 dr2 += 1
     assert dr2 == 6
     assert h.hexdigest() == LEVEL2_TENSOR_DIGEST
@@ -742,7 +767,7 @@ def test_level2_verma_tops_from_a_cold_memo(monkeypatch):
     schema = Sl2Schema(5, 2)
     lib = library(5, 2)
     for lam in range(25):
-        assert top_multiplicities(build_verma_r2(schema, lam), lib) == {simple_key(lam): 1}
+        assert top_multiplicities(build_verma(schema, lam), lib) == {simple_key(lam): 1}
 
 
 def test_first_layer_screen_skips_only_zero_hom_spaces(monkeypatch):
@@ -750,8 +775,7 @@ def test_first_layer_screen_skips_only_zero_hom_spaces(monkeypatch):
     ruled_out = 0
     for p, r in ((3, 1), (5, 1), (3, 2)):
         schema, lib = Sl2Schema(p, r), library(p, r)
-        build = build_verma_r1 if r == 1 else build_verma_r2
-        sources = [build(schema, lam) for lam in range(p**r)]
+        sources = [build_verma(schema, lam) for lam in range(p**r)]
         sources += [*lib.simples.values(), *lib.projectives.values()]
         for m in sources:
             if len(m._spin_plan.generators) != 1:
@@ -766,7 +790,7 @@ def test_first_layer_screen_skips_only_zero_hom_spaces(monkeypatch):
 def test_two_generator_source_gets_the_tops_of_a_full_solve(monkeypatch):
     fresh_memo(monkeypatch)
     schema, lib = Sl2Schema(5, 2), library(5, 2)
-    m = direct_sum([build_verma_r2(schema, 3), build_verma_r2(schema, 12)])
+    m = direct_sum([build_verma(schema, 3), build_verma(schema, 12)])
     assert len(m._spin_plan.generators) == 2
     solved = {key: len(hom_space(m, s)) for key, s in lib.simples.items()}
     assert top_multiplicities(m, lib) == {k: n for k, n in solved.items() if n}
@@ -796,7 +820,7 @@ def test_library_completeness_survives_optimized_python():
 
 def test_vermas_of_distinct_weights_not_isomorphic():
     s = Sl2Schema(5, 1)
-    assert not is_isomorphic(build_verma_r1(s, 2), build_verma_r1(s, 1))
+    assert not is_isomorphic(build_verma(s, 2), build_verma(s, 1))
 
 
 def test_cover_indecomposable_steinberg_projective_simple():
@@ -813,10 +837,10 @@ def test_cover_indecomposable_steinberg_projective_simple():
 def test_verma_r2_dimension_and_top_weight_case():
     for p in (3, 5):
         s2 = Sl2Schema(p, 2)
-        z = build_verma_r2(s2, p * p - 1)
+        z = build_verma(s2, p * p - 1)
         assert z.dim == p * p
         st1 = steinberg(Sl2Schema(p, 1))
-        assert bool(is_isomorphic(restrict_to_r1(z), direct_sum([st1] * p)))
+        assert bool(is_isomorphic(restrict(z, 1), direct_sum([st1] * p)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -825,7 +849,7 @@ def test_verma_r2_character(lam):
     p = 5
     from vermalab.modules import eigenvalue_multiplicities
 
-    z = build_verma_r2(Sl2Schema(p, 2), lam)
+    z = build_verma(Sl2Schema(p, 2), lam)
     got = eigenvalue_multiplicities(z.field, z.ops["h"])
     want: dict[int, int] = {}
     for i in range(p * p):
@@ -848,7 +872,7 @@ def test_lifted_covers_restrict_to_level1_covers():
     p = 3
     covers = restricted_projectives(p)
     for lam, lifted in lifted_projectives(p).items():
-        res = restrict_to_r1(lifted)
+        res = restrict(lifted, 1)
         assert bool(is_isomorphic(res, covers[simple_key(lam)]))
 
 
@@ -858,7 +882,7 @@ def test_tensor_dimension_and_unit():
     p = 5
     s = Sl2Schema(p, 1)
     triv = build_simple(s, 0)
-    z = build_verma_r1(s, 3)
+    z = build_verma(s, 3)
     t = tensor(z, triv)
     assert t.dim == z.dim
     assert bool(is_isomorphic(t, z))
@@ -869,15 +893,15 @@ def test_tensor_dimension_and_unit():
 def tensor_oracle_cases(p):
     s1, s2 = Sl2Schema(p, 1), Sl2Schema(p, 2)
     f = s1.field
-    lifted = [restricted_as_r2(build_simple(s1, lam)) for lam in (p - 3, 3)]
+    lifted = [pad(build_simple(s1, lam), 2) for lam in (p - 3, 3)]
     return [
-        (build_simple(s1, 2), build_verma_r1(s1, 3)),
+        (build_simple(s1, 2), build_verma(s1, 3)),
         (steinberg(s1), build_simple(s1, 1)),
         # e^(i) and e^(p-i) both act for some 0 < i < p, so the middle
         # terms of the coproduct of e_p and f_p are nonzero
         (lifted[0], lifted[1]),
-        (build_verma_r2(s2, p + 2), lifted[1]),
-        (frobenius_twist(build_simple(s1, 2)), build_verma_r2(s2, 1)),
+        (build_verma(s2, p + 2), lifted[1]),
+        (frobenius_twist(build_simple(s1, 2)), build_verma(s2, 1)),
         (FpModule(f, 0, {x: f.zeros(0, 0) for x in s2.labels}), lifted[1]),
     ]
 
@@ -902,7 +926,7 @@ def test_tensor_matches_the_kron_sum_oracle(p):
 def test_tensor_schema_mismatch():
     s1 = Sl2Schema(5, 1)
     with pytest.raises(SchemaMismatch):
-        tensor(build_simple(s1, 1), restricted_as_r2(build_simple(s1, 1)))
+        tensor(build_simple(s1, 1), pad(build_simple(s1, 1), 2))
     with pytest.raises(SchemaMismatch):
         tensor(build_simple(s1, 1), build_simple(Sl2Schema(3, 1), 1))
 
@@ -918,10 +942,10 @@ def test_steinberg_tensor_simple_is_projective():
 
 def test_twist_kills_level1_generators():
     s = Sl2Schema(3, 1)
-    tw = frobenius_twist(build_verma_r1(s, 1))
+    tw = frobenius_twist(build_verma(s, 1))
     for label in ("e", "f", "h"):
         assert not tw.ops[label].any()
-    assert np.array_equal(tw.ops["e_p"], build_verma_r1(s, 1).ops["e"])
+    assert np.array_equal(tw.ops["e_p"], build_verma(s, 1).ops["e"])
 
 
 def test_twist_of_trivial_is_trivial():
@@ -937,8 +961,8 @@ def test_depth_reduced_verma_factors_frozen():
     p = 3
     s1 = Sl2Schema(p, 1)
     s2 = Sl2Schema(p, 2)
-    left = build_verma_r2(s2, 5)
-    right = tensor(frobenius_twist(build_verma_r1(s1, 1)), restricted_as_r2(steinberg(s1)))
+    left = build_verma(s2, 5)
+    right = tensor(frobenius_twist(build_verma(s1, 1)), pad(steinberg(s1), 2))
     assert bool(is_isomorphic(left, right))
 
 
@@ -956,7 +980,7 @@ def test_scan_of_steinberg_is_empty():
 def test_scan_of_verma_frozen():
     # p=5, weight 2: non-free exactly at the raising direction
     p = 5
-    z = build_verma_r1(Sl2Schema(p, 1), 2)
+    z = build_verma(Sl2Schema(p, 1), 2)
     for q in (p, p * p):
         scan = rank_variety_scan(z, q)
         assert scan.points == [(1, 0, 0)]
@@ -967,7 +991,7 @@ def test_scan_e_and_f_point_rule():
     for p in (3, 5):
         s = Sl2Schema(p, 1)
         for lam in range(p):
-            pts = rank_variety_scan(build_verma_r1(s, lam), p).points
+            pts = rank_variety_scan(build_verma(s, lam), p).points
             assert (0, 0, 1) not in pts
             assert ((1, 0, 0) in pts) == (lam != p - 1)
 
@@ -987,16 +1011,27 @@ def test_scan_errors():
     with pytest.raises(DimensionNotDivisible):
         rank_variety_scan(build_simple(s, 1), 3)
     with pytest.raises(ValueError):
-        rank_variety_scan(build_verma_r1(s, 1), 27)
+        rank_variety_scan(build_verma(s, 1), 27)
     with pytest.raises(SchemaMismatch):
-        rank_variety_scan(restricted_as_r2(build_verma_r1(s, 1)), 3)
+        rank_variety_scan(pad(build_verma(s, 1), 2), 3)
+
+
+def test_scan_refuses_a_module_over_an_extension_field():
+    # scanned with q = 3, a zero-action module over F_9 took its nullcone
+    # points from F_9 (10 of them, coordinates up to 8) and estimated
+    # dimension 1, where the same module over F_3 gives 2
+    f = GF(3, 2)
+    zero = f.zeros(3, 3)
+    mod = FpModule(f, 3, {"e": zero, "f": zero, "h": zero})
+    with pytest.raises(SchemaMismatch, match="prime field"):
+        rank_variety_scan(mod, 3)
 
 
 def test_scan_empty_iff_projective_on_corpus():
     p = 3
     s = Sl2Schema(p, 1)
     lib = library(p, 1)
-    corpus = [build_verma_r1(s, lam) for lam in range(p)]
+    corpus = [build_verma(s, lam) for lam in range(p)]
     corpus += list(lib.projectives.values())
     corpus.append(tensor(steinberg(s), build_simple(s, 1)))
     for mod in corpus:

@@ -1,8 +1,11 @@
 """Properties of the package source itself."""
 import ast
+import importlib
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "vermalab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "vermalab"
 
 
 def test_no_assert_statements_in_the_package():
@@ -64,3 +67,47 @@ def test_one_tensor_path():
         if "kron" in line
     ]
     assert found == []
+
+
+def test_no_level_named_in_a_builder():
+    # a kernel level is a row of sl2.LEVELS, so no name in the package
+    # marks a construction as belonging to one level
+    pattern = re.compile(r"_r[12]\b|R[12]_LABELS|restricted_as_r2")
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert found == []
+
+
+def bench_constants(name, *names):
+    """The named top-level assignments of a bench/ script, evaluated
+    without importing it, so nothing is written under bench/."""
+    tree = ast.parse((ROOT / "bench" / name).read_text())
+    body = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in names
+    ]
+    namespace = {}
+    exec(compile(ast.Module(body, []), name, "exec"), namespace)
+    return namespace
+
+
+def test_every_bench_target_resolves():
+    # the traced benchmark wraps each target by name and fails on a
+    # missing attribute, and a required call must be one it wraps
+    targets = bench_constants("layertrace.py", "LIBRARIES", "SUITES", "TARGETS")["TARGETS"]
+    missing = []
+    for modname, owner, attr, _ in targets:
+        holder = importlib.import_module(f"vermalab.{modname}")
+        if owner is not None:
+            holder = getattr(holder, owner, None)
+        if not hasattr(holder, attr):
+            missing.append(f"{modname}.{attr}")
+    assert missing == []
+    names = {f"{modname}.{attr}" for modname, _, attr, _ in targets}
+    required = bench_constants("run.py", "REQUIRED_CALLS")["REQUIRED_CALLS"]
+    assert [n for calls in required.values() for n in calls if n not in names] == []
