@@ -17,6 +17,11 @@ the operands are reduced mod p first, and if even inner * (p-1)^2
 reaches 2^63 the product is taken over Python ints.  This kernel,
 ``dot_mod``, takes the modulus as an argument, so integer products mod
 a prime power run through it too.
+
+F_{p^2} enters the F_p kernels by the regular representation, an entry
+a + b*t becoming the block [[a, c*b], [b, a]] on the basis 1, t, so one
+exactness argument (``dot_mod``'s bound and ``_rref_prime``'s growth
+tracking) covers both fields.
 """
 from __future__ import annotations
 
@@ -49,6 +54,18 @@ def smallest_nonresidue(p: int) -> int:
         if pow(c, (p - 1) // 2, p) == p - 1:
             return c
     raise ValueError(f"no quadratic non-residue mod {p}")
+
+
+def power(base, e: int, mul):
+    """base^e for e >= 1 by square-and-multiply with the product mul."""
+    result = None
+    while True:
+        if e & 1:
+            result = base if result is None else mul(result, base)
+        e >>= 1
+        if not e:
+            return result
+        base = mul(base, base)
 
 
 def dot_mod(A, B, modulus: int):
@@ -96,8 +113,7 @@ class GF:
             raise ValueError(f"unsupported extension degree k = {self.k}")
         if self.k == 2 and self.p == 2:
             raise ValueError("quadratic extension of F_2 not supported")
-        # mul and rref multiply reduced entries in int64; over F_{p^2},
-        # mul forms a0 b0 + c a1 b1
+        # mul multiplies reduced entries in int64, over F_{p^2} a0 b0 + c a1 b1
         bound = (self.p - 1) ** 2 * (1 if self.k == 1 else 1 + self.nonresidue)
         if bound >= _INT64_SAFE:
             raise ValueError(
@@ -187,40 +203,37 @@ class GF:
     def identity(self, n: int):
         return np.eye(n, dtype=np.int64)
 
+    def _regular(self, A):
+        """A over F_{p^2} as a matrix over F_p of twice the size, by blocks."""
+        a, b = self._split(A)
+        blocks = np.stack([a, self.nonresidue * b % self.p, b, a], -1).reshape(*A.shape, 2, 2)
+        return blocks.swapaxes(-3, -2).reshape(*A.shape[:-2], 2 * A.shape[-2], 2 * A.shape[-1])
+
     def matmul(self, A, B):
         A = np.asarray(A, dtype=np.int64)
         B = np.asarray(B, dtype=np.int64)
         if self.k == 1:
             return dot_mod(A, B, self.p)
-        a0, a1 = self._split(A)
-        b0, b1 = self._split(B)
-        c = self.nonresidue
-        c0 = (dot_mod(a0, b0, self.p) + c * dot_mod(a1, b1, self.p)) % self.p
-        c1 = (dot_mod(a0, b1, self.p) + dot_mod(a1, b0, self.p)) % self.p
-        return c0 + self.p * c1
+        # A's regular representation against B's coordinate rows b0, b1
+        coords = np.stack(self._split(B), -2).reshape(*B.shape[:-2], -1, B.shape[-1])
+        C = dot_mod(self._regular(A), coords, self.p)
+        return C[..., 0::2, :] + self.p * C[..., 1::2, :]
 
     def matpow(self, A, e: int):
         """A^e as a fresh reduced array; e = 0 gives the identity."""
         if e < 0:
             raise ValueError(f"negative exponent {e}")
         base = self.normalize(A)
-        if e == 0:
-            return self.identity(base.shape[0])
-        result = None
-        while True:
-            if e & 1:
-                result = base if result is None else self.matmul(result, base)
-            e >>= 1
-            if not e:
-                return result
-            base = self.matmul(base, base)
+        return power(base, e, self.matmul) if e else self.identity(base.shape[0])
 
     def rref(self, A):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""
         R = np.array(A, dtype=np.int64, copy=True)
         if self.k == 1:
             return self._rref_prime(R)
-        return self._rref_generic(R)
+        # the regular representation keeps reduced echelon forms, which are unique
+        R, pivots = self._rref_prime(self._regular(R))
+        return R[0::2, 0::2] + self.p * R[1::2, 0::2], [c // 2 for c in pivots[0::2]]
 
     def _rref_prime(self, R):
         # Deferred reduction: R is reduced on entry and at the end.  Each
@@ -257,27 +270,6 @@ class GF:
             pivots.append(c)
             r += 1
         R %= p
-        return R, pivots
-
-    def _rref_generic(self, R):
-        rows, cols = R.shape
-        pivots = []
-        r = 0
-        for c in range(cols):
-            if r == rows:
-                break
-            nz = np.nonzero(R[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                R[[r, i]] = R[[i, r]]
-            R[r] = self.mul(R[r], self.inv(R[r, c]))
-            for j in range(rows):
-                if j != r and R[j, c] != 0:
-                    R[j] = self.sub(R[j], self.mul(R[r], int(R[j, c])))
-            pivots.append(c)
-            r += 1
         return R, pivots
 
     def rank(self, A) -> int:

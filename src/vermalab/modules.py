@@ -40,7 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .gf import GF, dot_mod
+from .gf import GF, dot_mod, power
 
 
 class SchemaMismatch(ValueError):
@@ -927,19 +927,11 @@ def decompose(m: FpModule, seed: int = 0) -> list[FpModule]:
 
 def _power_traces(mats: np.ndarray, e: int, modulus: int) -> np.ndarray:
     """tr(A^e) mod modulus for each matrix A of a stack of nonnegative
-    integer matrices, by squaring mod modulus in gf.dot_mod, which is
+    integer matrices, by gf.power over gf.dot_mod mod modulus, which is
     exact for any modulus below 2^63."""
-    base = mats % modulus
-    power = None
-    while True:
-        if e & 1:
-            power = base if power is None else dot_mod(power, base, modulus)
-        e >>= 1
-        if not e:
-            break
-        base = dot_mod(base, base, modulus)
+    powers = power(mats % modulus, e, lambda x, y: dot_mod(x, y, modulus))
     # a diagonal's sum is its product with a ones column, reduced exactly
-    diagonals = np.diagonal(power, axis1=-2, axis2=-1)
+    diagonals = np.diagonal(powers, axis1=-2, axis2=-1)
     return dot_mod(diagonals, np.ones((mats.shape[-1], 1), dtype=np.int64), modulus)[..., 0]
 
 
@@ -1092,8 +1084,11 @@ def parse_text(text: str) -> FpModule:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty module text")
-    header = lines[0].split()
-    fields = dict(part.split("=", 1) for part in header)
+    if bare := [part for part in lines[0].split() if "=" not in part]:
+        raise ValueError(f"header tokens {bare} are not of the form key=value")
+    fields = dict(part.split("=", 1) for part in lines[0].split())
+    if missing := sorted({"dim", "q", "labels"} - fields.keys()):
+        raise ValueError(f"header lacks {', '.join(missing)}")
     dim = int(fields["dim"])
     q = int(fields["q"])
     labels = [l for l in fields["labels"].split(",") if l]

@@ -192,8 +192,8 @@ def _graded_relations(f: GF, d, ops, weights, pairs, h) -> dict:
         # blocks of XY from those of X and of Y, for Y of weight shift
         return f.matmul(left[np.arange(len(left))[:, None], (classes + shift[:, None]) % p], right)
 
-    # the brackets go with the first squaring, in one product; p is odd,
-    # so the power X^p starts from X itself
+    # the brackets go with the first squaring, in one product, so this
+    # loop is not gf.power; p is odd, so the power X^p starts from X itself
     pairs = [(x, y) for x, y in pairs if x in at and y in at]
     xs = [at[x] for x, _ in pairs]
     ys = [at[y] for _, y in pairs]

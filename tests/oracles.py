@@ -41,6 +41,48 @@ def ext_mat_mul(A, B, p):
     return out
 
 
+def ext_mat_rref(M, p):
+    """Row reduce a copy of M over F_{p^2}, encoded as in ext_mat_mul, by
+    Gauss-Jordan with the first nonzero entry of a column as its pivot;
+    returns (rref, pivot_cols)."""
+    c = next(x for x in range(2, p) if pow(x, (p - 1) // 2, p) == p - 1)
+
+    def mul(x, y):
+        x0, x1, y0, y1 = x % p, x // p, y % p, y // p
+        return (x0 * y0 + c * x1 * y1) % p + p * ((x0 * y1 + x1 * y0) % p)
+
+    def sub(x, y):
+        return (x - y) % p + p * ((x // p - y // p) % p)
+
+    def inv(x):
+        # (x0 + x1 t)(x0 - x1 t) = x0^2 - c x1^2, a nonzero element of F_p
+        x0, x1 = x % p, x // p
+        norm_inv = pow((x0 * x0 - c * x1 * x1) % p, p - 2, p)
+        return x0 * norm_inv % p + p * (-x1 * norm_inv % p)
+
+    M = [row[:] for row in M]
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
+    pivots = []
+    r = 0
+    for col in range(cols):
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if M[i][col]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        scale = inv(M[r][col])
+        M[r] = [mul(x, scale) for x in M[r]]
+        for i in range(rows):
+            if i != r and M[i][col]:
+                f = M[i][col]
+                M[i] = [sub(a, mul(f, b)) for a, b in zip(M[i], M[r])]
+        pivots.append(col)
+        r += 1
+    return M, pivots
+
+
 def mat_rref(M, p):
     """Row reduce a copy of M over F_p; returns (rref, pivot_cols)."""
     M = [row[:] for row in M]

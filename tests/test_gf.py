@@ -92,15 +92,10 @@ def test_f25_is_a_field_of_order_25():
 @settings(max_examples=40)
 @given(fields, st.integers(1, 6), st.integers(1, 6), st.data())
 def test_matmul_matches_oracle(F, n, m, data):
-    if F.k == 2:
-        # oracle only covers the prime field
-        F = GF(F.p)
     rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
     A = oracles.random_matrix(F, rng, n, m)
     B = oracles.random_matrix(F, rng, m, n)
-    got = F.matmul(A, B)
-    want = oracles.mat_mul(np_to_lists(A), np_to_lists(B), F.p)
-    assert np_to_lists(got) == want
+    assert np_to_lists(F.matmul(A, B)) == oracle_product(F, A, B)
 
 
 @settings(max_examples=60)
@@ -112,8 +107,8 @@ def test_rref_idempotent_and_rank(F, n, m, seed):
     R2, pivots2 = F.rref(R)
     assert np.array_equal(R, R2)
     assert pivots == pivots2
-    if F.k == 1:
-        assert len(pivots) == oracles.mat_rank(np_to_lists(A), F.p)
+    rref = oracles.mat_rref if F.k == 1 else oracles.ext_mat_rref
+    assert len(pivots) == len(rref(np_to_lists(A), F.p)[1])
 
 
 def test_rref_dense_large_matches_oracle():
@@ -371,3 +366,113 @@ def test_rref_reduces_before_growth_reaches_int64(p, rows):
     # and came out wrong in the non-pivot columns of these wide matrices
     rng = np.random.default_rng(rows)
     assert_rref_matches_oracle(GF(p), rng.integers(0, p, size=(rows, 2 * rows)))
+
+
+# -- F_{p^2} through the regular representation, against list oracles ----
+
+def ext_neg(x, p):
+    return (-x) % p + p * ((-(x // p)) % p)
+
+
+def ext_oracle_solve(A, B, p):
+    """X with A X = B read off the oracle echelon form of [A | B], its
+    free coordinates zero; None when the system is inconsistent."""
+    R, pivots = oracles.ext_mat_rref([a + b for a, b in zip(A, B)], p)
+    ncols = len(A[0])
+    if any(c >= ncols for c in pivots):
+        return None
+    X = [[0] * len(B[0]) for _ in range(ncols)]
+    for prow, pc in enumerate(pivots):
+        X[pc] = R[prow][ncols:]
+    return X
+
+
+def ext_inputs(F, rng):
+    """Full-rank, rank-deficient, wide, thin and empty matrices over F."""
+    q = F.q
+
+    def low_rank(rows, rank, cols):
+        left, right = rng.integers(0, q, size=(rows, rank)), rng.integers(0, q, size=(rank, cols))
+        return np.array(oracles.ext_mat_mul(np_to_lists(left), np_to_lists(right), F.p))
+
+    yield rng.integers(0, q, size=(6, 6))
+    yield low_rank(5, 3, 5)
+    yield low_rank(7, 2, 9)
+    yield rng.integers(0, q, size=(3, 11))
+    yield rng.integers(0, q, size=(12, 4))
+    yield low_rank(10, 3, 4)
+    gaps = rng.integers(0, q, size=(5, 7))
+    gaps[:, [0, 4]] = 0
+    gaps[2] = 0
+    yield gaps
+    yield np.zeros((3, 4), dtype=np.int64)
+    yield np.zeros((0, 5), dtype=np.int64)
+    yield np.zeros((4, 0), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_extension_elimination_matches_the_oracle(p):
+    F = GF(p, 2)
+    rng = np.random.default_rng(p)
+    for A in ext_inputs(F, rng):
+        rows, cols = A.shape
+        want, want_pivots = oracles.ext_mat_rref(np_to_lists(A), p)
+        R, pivots = F.rref(A)
+        assert (np_to_lists(R), pivots) == (want, want_pivots), A.shape
+        assert F.rank(A) == len(want_pivots)
+        free = [c for c in range(cols) if c not in want_pivots]
+        kernel = [[int(r == fc) for fc in free] for r in range(cols)]
+        for prow, pc in enumerate(want_pivots):
+            kernel[pc] = [ext_neg(want[prow][fc], p) for fc in free]
+        assert np_to_lists(F.nullspace(A)) == kernel
+        if not rows or not cols:
+            continue
+        assert np.array_equal(F.column_space_basis(A), A[:, want_pivots])
+        X0 = rng.integers(0, F.q, size=(cols, 2))
+        for B in (np.array(oracles.ext_mat_mul(np_to_lists(A), np_to_lists(X0), p)),
+                  rng.integers(0, F.q, size=(rows, 2))):
+            X = ext_oracle_solve(np_to_lists(A), np_to_lists(B), p)
+            if X is None:
+                with pytest.raises(ValueError, match="inconsistent"):
+                    F.solve(A, B)
+            else:
+                assert np_to_lists(F.solve(A, B)) == X
+        if rows == cols:
+            if len(want_pivots) == rows:
+                eye = np_to_lists(F.identity(rows))
+                assert np_to_lists(F.inverse(A)) == ext_oracle_solve(np_to_lists(A), eye, p)
+            else:
+                with pytest.raises(ValueError):
+                    F.inverse(A)
+
+
+@pytest.mark.parametrize("F", [GF(3, 2), GF(5, 2)], ids=str)
+def test_extension_products_on_stacks_match_the_oracle(F):
+    rng = np.random.default_rng(F.q)
+    shapes = [
+        ((4, 3, 5), (5, 2)),
+        ((3, 4), (2, 4, 6)),
+        ((3, 4, 4), (3, 4, 4)),
+        ((2, 1, 3, 5), (1, 3, 5, 2)),
+        # 20 products of 12 x 12 matrices, past the BLAS crossover
+        ((1, 5, 12, 12), (4, 1, 12, 12)),
+    ]
+    assert 20 * 12**3 >= gf._BLAS_MIN_MACS
+    for a_shape, b_shape in shapes:
+        A = rng.integers(0, F.q, size=a_shape)
+        B = rng.integers(0, F.q, size=b_shape)
+        got = F.matmul(A, B)
+        stack = np.broadcast_shapes(a_shape[:-2], b_shape[:-2])
+        assert got.shape == (*stack, a_shape[-2], b_shape[-1])
+        A = np.broadcast_to(A, stack + a_shape[-2:])
+        B = np.broadcast_to(B, stack + b_shape[-2:])
+        for idx in np.ndindex(stack):
+            assert np_to_lists(got[idx]) == oracle_product(F, A[idx], B[idx])
+    S = rng.integers(0, F.q, size=(3, 4, 4))
+    for e in (1, 2, 5, F.p, 2 * F.p + 1):
+        got = F.matpow(S, e)
+        for i in range(len(S)):
+            want = np_to_lists(S[i])
+            for _ in range(e - 1):
+                want = oracle_product(F, np.array(want), S[i])
+            assert np_to_lists(got[i]) == want

@@ -995,6 +995,25 @@ def test_parse_rejects_malformed():
         parse_text("")
 
 
+def test_parse_names_missing_header_fields():
+    # a header without dim, q or labels used to raise KeyError
+    with pytest.raises(ValueError, match="header lacks labels"):
+        parse_text("dim=1 q=3\n0\n")
+    with pytest.raises(ValueError, match="header lacks q"):
+        parse_text("dim=1 labels=t\n0\n")
+    with pytest.raises(ValueError, match="header lacks dim"):
+        parse_text("q=3 labels=t\n0\n")
+    with pytest.raises(ValueError, match="header lacks dim, labels, q"):
+        parse_text("size=1\n0\n")
+
+
+def test_parse_rejects_a_header_token_without_equals():
+    # such a token used to fail inside dict() with "dictionary update
+    # sequence element #3 has length 1"
+    with pytest.raises(ValueError, match=r"header tokens \['t'\] are not of the form key=value"):
+        parse_text("dim=1 q=3 labels=x t\n0\n")
+
+
 def test_negative_dimension_and_repeated_labels_rejected():
     with pytest.raises(ValueError, match="negative"):
         parse_text("dim=-2 q=5 labels=\n")

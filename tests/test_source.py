@@ -82,6 +82,20 @@ def test_no_level_named_in_a_builder():
     assert found == []
 
 
+def test_one_elimination_engine():
+    # F_{p^2} matrices reach the F_p kernels by the regular representation,
+    # so gf has one elimination and one square-and-multiply; sl2 keeps a
+    # second because its first squaring shares a product with the brackets
+    gf = (SRC / "gf.py").read_text()
+    assert re.findall(r"def (_rref_\w+)", gf) == ["_rref_prime"]
+    found = {
+        path.name: path.read_text().count("e >>= 1")
+        for path in sorted(SRC.glob("*.py"))
+        if "e >>= 1" in path.read_text()
+    }
+    assert found == {"gf.py": 1, "sl2.py": 1}
+
+
 def bench_constants(name, *names):
     """The named top-level assignments of a bench/ script, evaluated
     without importing it, so nothing is written under bench/."""
