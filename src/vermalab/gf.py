@@ -220,11 +220,13 @@ class GF:
         return C[..., 0::2, :] + self.p * C[..., 1::2, :]
 
     def matpow(self, A, e: int):
-        """A^e as a fresh reduced array; e = 0 gives the identity."""
+        """A^e, fresh and reduced, of a matrix or a stack; e = 0 gives identities shaped like A."""
         if e < 0:
             raise ValueError(f"negative exponent {e}")
         base = self.normalize(A)
-        return power(base, e, self.matmul) if e else self.identity(base.shape[0])
+        if not e:
+            return np.broadcast_to(self.identity(base.shape[-1]), base.shape).copy()
+        return power(base, e, self.matmul)
 
     def rref(self, A):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""

@@ -1030,7 +1030,7 @@ def _end_is_local(m: FpModule, homs: list[np.ndarray]) -> bool:
     x = basis[free]
     products = f.matmul(x[:, None], x[None])
     commutators = f.sub(products, products.transpose(1, 0, 2, 3)).reshape(k * k, -1)
-    powers = np.stack([f.matpow(y, f.p) for y in x]).reshape(k, -1)
+    powers = f.matpow(x, f.p).reshape(k, -1)
     coords = f.solve(flat, np.concatenate([commutators, powers]).T)
     images = f.sub(coords[free], f.matmul(rows[:, free].T, coords[pivots]))
     if np.any(images[:, : k * k]):

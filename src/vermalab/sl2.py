@@ -26,15 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import GF, is_prime
+from .gf import GF, is_prime, power
 from .modules import (
     CertificateError,
     FpModule,
     ModuleLibrary,
     SchemaMismatch,
-    _homs_from_simples,
-    _joint_image,
-    _multiplicities,
     build_extension,
     decompose,
     direct_sum,
@@ -46,6 +43,8 @@ from .modules import (
     quotient_by_columns,
     radical_submodule,
     restrict_labels,
+    socle_multiplicities,
+    socle_submodule,
     submodule_from_columns,
     syzygy,
     top_multiplicities,
@@ -192,8 +191,12 @@ def _graded_relations(f: GF, d, ops, weights, pairs, h) -> dict:
         # blocks of XY from those of X and of Y, for Y of weight shift
         return f.matmul(left[np.arange(len(left))[:, None], (classes + shift[:, None]) % p], right)
 
-    # the brackets go with the first squaring, in one product, so this
-    # loop is not gf.power; p is odd, so the power X^p starts from X itself
+    def times(a, b):
+        # (blocks, weights) of XY from those of X and of Y
+        return product(a[0], b[0], b[1]), (a[1] + b[1]) % p
+
+    # the brackets and the squares X^2 take one product; p is odd, so
+    # X^p = X (X^2)^((p-1)/2)
     pairs = [(x, y) for x, y in pairs if x in at and y in at]
     xs = [at[x] for x, _ in pairs]
     ys = [at[y] for _, y in pairs]
@@ -209,16 +212,9 @@ def _graded_relations(f: GF, d, ops, weights, pairs, h) -> dict:
         if (x, y) == ("e", "f"):
             bracket = f.sub(bracket, hblocks)
         holds[x, y] = not np.any(bracket)
-    power, square, weight, e = blocks, first[2 * n :], 2 * c % p, p >> 1
-    while True:
-        if e & 1:
-            power = product(power, square, weight)
-        e >>= 1
-        if not e:
-            break
-        square, weight = product(square, square, weight), 2 * weight % p
+    pth = product(blocks, *power((first[2 * n :], 2 * c % p), p >> 1, times))
     for x in labels:
-        holds[x] = not np.any(power[at[x]])
+        holds[x] = not np.any(pth[at[x]])
     return holds
 
 
@@ -465,7 +461,7 @@ def lifted_projectives(p: int) -> dict[int, FpModule]:
             if q.dim == 2 * p and top_multiplicities(restrict(q, 1), lib) == {key: 1}
         ]
         if len(found) != 1:
-            raise RuntimeError(
+            raise CertificateError(
                 f"level-2 lift of cover {lam}: expected exactly one summand of dim {2 * p} "
                 f"with top {key}, found {len(found)}"
             )
@@ -549,26 +545,18 @@ class RankVarietyScan:
         }
 
 
-def _nullcone_points(fld: GF):
-    pts = [(1, b, fld.neg(fld.mul(b, b))) for b in range(fld.q)]
-    pts.append((0, 0, 1))
-    return [(int(a), int(b), int(c)) for a, b, c in pts]
-
-
-def _nonfree_points(mod: FpModule, fld: GF):
+def _nonfree_points(mod: FpModule) -> list[tuple[int, int, int]]:
+    """The points of the projective nilpotent cone over F_{p^2} at which mod
+    is not free: (1, b, -b^2) for each b in encoding order, then (0, 0, 1)."""
+    fld = GF(mod.field.p, 2)
+    b = np.arange(fld.q)
+    pts = np.vstack([np.stack([np.ones_like(b), b, fld.neg(fld.mul(b, b))], -1), [(0, 0, 1)]])
     # entries of mod lie in the prime field, whose elements keep the
     # same integer encoding inside the quadratic extension
-    p = mod.field.p
-    target = mod.dim // p
-    bad = []
-    for a, b, c in _nullcone_points(fld):
-        x = fld.add(
-            fld.add(fld.mul(mod.ops["e"], a), fld.mul(mod.ops["h"], b)),
-            fld.mul(mod.ops["f"], c),
-        )
-        if fld.rank(fld.matpow(x, p - 1)) != target:
-            bad.append((a, b, c))
-    return bad
+    ops = np.stack([mod.ops[x] for x in ("e", "h", "f")]).reshape(3, -1)
+    x = fld.matmul(pts, ops).reshape(len(pts), mod.dim, mod.dim)
+    ranks = [fld.rank(y) for y in fld.matpow(x, fld.p - 1)]
+    return [tuple(map(int, pt)) for pt, r in zip(pts, ranks) if r != mod.dim // fld.p]
 
 
 def rank_variety_scan(mod: FpModule, q: int) -> RankVarietyScan:
@@ -576,7 +564,10 @@ def rank_variety_scan(mod: FpModule, q: int) -> RankVarietyScan:
 
     A point represents the nilpotent element a e + b h + c f; the module
     is free over the subalgebra it generates exactly when the (p-1)-st
-    power of its action matrix has rank dim/p.
+    power of its action matrix has rank dim/p.  One stacked pass takes
+    the points over F_{p^2}; those over F_p are the ones with every
+    coordinate below p, in the same order, and the dimension estimate is
+    2 when F_{p^2} has more non-free points than F_p.
     """
     if mod.field.k != 1 or schema_of(mod).r != 1:
         raise SchemaMismatch("rank-variety scans work on r = 1 modules over a prime field")
@@ -585,19 +576,12 @@ def rank_variety_scan(mod: FpModule, q: int) -> RankVarietyScan:
         raise DimensionNotDivisible(
             f"dim {mod.dim} is not divisible by p = {p}; freeness rank test undefined"
         )
-    if q == p:
-        fld = mod.field
-    elif q == p * p:
-        fld = GF(p, 2)
-    else:
+    if q not in (p, p * p):
         raise ValueError(f"q must be p or p^2, got {q}")
-    points = _nonfree_points(mod, fld)
-    if not points:
-        est = 0
-    else:
-        count_small = len(points) if q == p else len(_nonfree_points(mod, mod.field))
-        count_big = len(points) if q == p * p else len(_nonfree_points(mod, GF(p, 2)))
-        est = 2 if count_big > count_small else 1
+    big = _nonfree_points(mod)
+    small = [pt for pt in big if max(pt) < p]
+    points = small if q == p else big
+    est = 0 if not points else 2 if len(big) > len(small) else 1
     return RankVarietyScan(q, points, est)
 
 
@@ -775,12 +759,9 @@ def verify_heart(p: int, seed: int = 0) -> CheckReport:
     cases = []
     for lam in range(p - 1):
         cover = lib.projectives[simple_key(lam)]
-        from_simples = _homs_from_simples(cover, lib)
-        soc_ok = _multiplicities(from_simples) == {simple_key(lam): 1}
-        rad_cols = radical_submodule(cover, lib)
-        sub, incl = submodule_from_columns(cover, rad_cols)
-        soc_cols = _joint_image(cover, from_simples)
-        inner = f.solve(incl, soc_cols)
+        soc_ok = socle_multiplicities(cover, lib) == {simple_key(lam): 1}
+        sub, incl = submodule_from_columns(cover, radical_submodule(cover, lib))
+        inner = f.solve(incl, socle_submodule(cover, lib))
         heart, _, _ = quotient_by_columns(sub, inner)
         mu = p - 2 - lam
         doubled = direct_sum([build_simple(schema, mu)] * 2)

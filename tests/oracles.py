@@ -13,6 +13,7 @@ from itertools import product
 
 import numpy as np
 
+from vermalab.gf import GF
 from vermalab.verma import smith_diagonalize
 
 
@@ -677,3 +678,29 @@ def reference_translation_lattice(spec, dep, p, r):
     cols = translation_columns(spec, dep, p, r)
     n = len(spec.matrix)
     return smith_diagonalize([[col[i] for col in cols] for i in range(n)])
+
+
+def reference_rank_variety_scan(mod, q):
+    """(points, dim_estimate) of the rank-variety scan one point at a time,
+    over F_q and again over the other of F_p, F_{p^2} when the points are
+    not empty (the two passes that one stacked F_{p^2} pass replaced)."""
+    p = mod.field.p
+
+    def nonfree(fld):
+        pts = [(1, b, int(fld.neg(fld.mul(b, b)))) for b in range(fld.q)] + [(0, 0, 1)]
+        bad = []
+        for a, b, c in pts:
+            x = fld.add(
+                fld.add(fld.mul(mod.ops["e"], a), fld.mul(mod.ops["h"], b)),
+                fld.mul(mod.ops["f"], c),
+            )
+            if fld.rank(fld.matpow(x, p - 1)) != mod.dim // p:
+                bad.append((a, b, c))
+        return bad
+
+    points = nonfree(GF.from_q(q))
+    if not points:
+        return points, 0
+    small = len(nonfree(GF(p)))
+    big = len(nonfree(GF(p, 2)))
+    return points, 2 if big > small else 1

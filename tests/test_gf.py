@@ -283,6 +283,15 @@ def test_matpow_matches_repeated_products(F):
         F.matpow(A, -1)
 
 
+def test_matpow_of_a_stack_at_zero_is_a_stack_of_identities():
+    # a stack's identity once had the size of the stack's first axis
+    got = GF(5).matpow(np.ones((3, 4, 4), dtype=np.int64), 0)
+    assert got.shape == (3, 4, 4)
+    assert all(np.array_equal(m, np.eye(4, dtype=np.int64)) for m in got)
+    got[0, 0, 0] = 2
+    assert got[1, 0, 0] == 1
+
+
 def test_matpow_returns_a_fresh_reduced_array():
     F = GF(5)
     for A in (np.array([[6, -1], [10, 3]]), np.array([[1, 4], [0, 3]])):
@@ -469,10 +478,11 @@ def test_extension_products_on_stacks_match_the_oracle(F):
         for idx in np.ndindex(stack):
             assert np_to_lists(got[idx]) == oracle_product(F, A[idx], B[idx])
     S = rng.integers(0, F.q, size=(3, 4, 4))
-    for e in (1, 2, 5, F.p, 2 * F.p + 1):
+    for e in (0, 1, 2, 5, F.p, 2 * F.p + 1):
         got = F.matpow(S, e)
+        assert got.shape == S.shape
         for i in range(len(S)):
-            want = np_to_lists(S[i])
-            for _ in range(e - 1):
+            want = np_to_lists(F.identity(4))
+            for _ in range(e):
                 want = oracle_product(F, np.array(want), S[i])
             assert np_to_lists(got[i]) == want

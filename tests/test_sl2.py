@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 import vermalab.modules
 import vermalab.sl2
-from oracles import intertwiner_basis, reference_sl2_failure, reference_tensor, reference_verma
+from oracles import (
+    intertwiner_basis,
+    reference_rank_variety_scan,
+    reference_sl2_failure,
+    reference_tensor,
+    reference_verma,
+)
 from vermalab.gf import GF
 from vermalab.modules import (
     CertificateError,
@@ -639,6 +645,14 @@ def test_decompose_reuses_its_endomorphism_basis(monkeypatch):
     assert len(calls) == 16
 
 
+def test_a_missing_lift_raises_certificate_error(monkeypatch):
+    # with the tensor left undecomposed no summand has dimension 2p, so
+    # the lift of the first cover is not found
+    monkeypatch.setattr(vermalab.sl2, "decompose", lambda m, seed=0: [m])
+    with pytest.raises(CertificateError, match="lift of cover 0: .* with top L0, found 0"):
+        lifted_projectives.__wrapped__(3)
+
+
 def test_level2_simples_build_each_padded_simple_once(monkeypatch):
     # from cold caches: p weight chains, each padded to level 2 once, p
     # twists and p^2 tensors; 24 when the padded simple was built again
@@ -1004,6 +1018,31 @@ def test_scan_of_zero_action_module_sees_everything():
     scan = rank_variety_scan(mod, p)
     assert len(scan.points) == p + 1
     assert scan.dim_estimate == 2
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_scan_matches_the_per_point_reference(p):
+    # one stacked F_{p^2} pass against a pass per field, point by point:
+    # the F_p points are read off the F_{p^2} list, and the estimate
+    # compares the two counts
+    s = Sl2Schema(p, 1)
+    f = GF(p)
+    zero = f.zeros(p, p)
+    z = build_verma(s, 0)
+    # z twisted by e <-> f, h -> -h is non-free at f alone, so the sum is
+    # non-free at two points over each field, of dimension 1
+    opposite = FpModule(f, p, {"e": z.ops["f"], "f": z.ops["e"], "h": f.neg(z.ops["h"])})
+    corpus = [build_verma(s, lam) for lam in range(p)]
+    corpus += list(library(p, 1).projectives.values())
+    corpus += [FpModule(f, p, {"e": zero, "f": zero, "h": zero}), steinberg(s)]
+    corpus.append(direct_sum([z, opposite]))
+    seen = set()
+    for mod in corpus:
+        for q in (p, p * p):
+            scan = rank_variety_scan(mod, q)
+            assert (scan.points, scan.dim_estimate) == reference_rank_variety_scan(mod, q)
+            seen.add((len(scan.points), scan.dim_estimate))
+    assert {(0, 0), (1, 1), (2, 1), (p + 1, 2), (p * p + 1, 2)} <= seen
 
 
 def test_scan_errors():

@@ -84,8 +84,8 @@ def test_no_level_named_in_a_builder():
 
 def test_one_elimination_engine():
     # F_{p^2} matrices reach the F_p kernels by the regular representation,
-    # so gf has one elimination and one square-and-multiply; sl2 keeps a
-    # second because its first squaring shares a product with the brackets
+    # so gf has one elimination and one square-and-multiply, gf.power,
+    # through which every matrix power in the package is taken
     gf = (SRC / "gf.py").read_text()
     assert re.findall(r"def (_rref_\w+)", gf) == ["_rref_prime"]
     found = {
@@ -93,7 +93,19 @@ def test_one_elimination_engine():
         for path in sorted(SRC.glob("*.py"))
         if "e >>= 1" in path.read_text()
     }
-    assert found == {"gf.py": 1, "sl2.py": 1}
+    assert found == {"gf.py": 1}
+
+
+def test_failed_checks_raise_certificate_error():
+    # CertificateError subclasses RuntimeError, so a caller catching either
+    # sees every failed check; a bare RuntimeError would escape the former
+    found = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "raise RuntimeError(" in line
+    ]
+    assert found == []
 
 
 def bench_constants(name, *names):
