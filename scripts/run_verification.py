@@ -2,8 +2,10 @@
 """Run the full verification battery and summarize per-check results.
 
 Covers the structural suites at every wired (p, r) pair plus the
-commuting-variety slope fits.  Exits 1 if anything fails, so the
-script doubles as a CI gate.
+commuting-variety slope fits.  Each level's library(p, r), its simples
+and covers, is built and timed as a row of its own before that level's
+suites, so no suite's time carries it.  Exits 1 if anything fails, so
+the script doubles as a CI gate.
 """
 import argparse
 import json
@@ -11,7 +13,7 @@ import sys
 import time
 
 from vermalab.heisenberg import dimension_fit
-from vermalab.sl2 import level_suites
+from vermalab.sl2 import level_suites, library
 
 
 def main() -> int:
@@ -23,6 +25,18 @@ def main() -> int:
     rows = []
     ok = True
     for p, r in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 2)]:
+        start = time.perf_counter()
+        lib = library(p, r)
+        rows.append(
+            {
+                "suite": "library",
+                "p": p,
+                "r": r,
+                "cases": len(lib.simples),
+                "pass": True,
+                "seconds": round(time.perf_counter() - start, 2),
+            }
+        )
         for suite in level_suites(p, r, seed=args.seed):
             start = time.perf_counter()
             rep = suite()

@@ -504,65 +504,9 @@ class ModuleLibrary:
 
 
 def _homs_to_simples(m: FpModule, lib: ModuleLibrary) -> dict[str, list[np.ndarray]]:
-    """Basis of Hom(m, S) for every simple S: the one pass that tops and radicals share.
-
-    A source spun up from one generator skips the solve for every S that
-    its first layer already rules out (see _first_layer_forces_zero); the
-    empty answer goes into the memo as if solved.
-    """
-    screened = m.dim > 0 and len(m._spin_plan.generators) == 1
-    out = {}
-    for key, s in lib.simples.items():
-        if screened and _first_layer_forces_zero(m, s):
-            out[key] = list(_memo(("hom", m._digest, s._digest), lambda: ()))
-        else:
-            out[key] = _hom(m, s)
-    return out
-
-
-def _first_layer_forces_zero(m: FpModule, n: FpModule) -> bool:
-    """Whether every map from m, spun up from one generator v, to n is zero.
-
-    Such a map is fixed by the image w of v.  w lies on the rows of n
-    whose entries on every operator diagonal in both modules match those
-    of v, and it satisfies the relations of v's first spin-up layer (for
-    a baby Verma: e w = 0, e_p w = 0, h w = lam w).  If only w = 0 does,
-    the hom space is zero.  The answer depends on n, the labels, v's
-    diagonal entries and the first layer only, which many sources share
-    (the 25 level-2 baby Vermas at p = 5 have 5 distinct ones), so it is
-    memoized on those.
-    """
-    plan = m._spin_plan
-    [(start, layers)] = plan.generators
-    layer = layers[0]
-    weights = tuple(
-        (label, int(m._diagonals[label][start])) for label in plan.labels if label in m._diagonals
-    )
-    key = (
-        "screen", n._digest, plan.labels, weights,
-        layer.new.tobytes(), layer.dep.tobytes(), layer.coeffs.shape, layer.coeffs.tobytes(),
-    )
-    return _memo(key, lambda: _relations_force_zero(n, plan.labels, weights, layer))
-
-
-def _relations_force_zero(n: FpModule, labels, weights, layer: _SpinLayer) -> bool:
-    # the first layer acts on v alone, so candidate l is label l applied
-    # to v, and the basis it relates to is v followed by the new candidates
-    f = n.field
-    rows = np.ones(n.dim, dtype=bool)
-    for label, weight in weights:
-        if label in n._diagonals:
-            rows &= n._diagonals[label] == weight
-    rows = np.flatnonzero(rows)
-    if not len(rows):
-        return True
-    if not len(layer.dep):
-        return False
-    targets = np.stack([n.ops[label] for label in labels])
-    basis_images = np.concatenate([f.identity(n.dim)[None], targets[layer.new]])
-    related = f.matmul(layer.coeffs, basis_images.reshape(len(basis_images), -1))
-    relations = f.sub(targets[layer.dep], related.reshape(-1, n.dim, n.dim))
-    return f.rank(relations[:, :, rows].reshape(-1, len(rows))) == len(rows)
+    """Basis of Hom(m, S) for every simple S: the one pass that tops and radicals share,
+    each solved through the memo."""
+    return {key: _hom(m, s) for key, s in lib.simples.items()}
 
 
 def _multiplicities(homs: dict[str, list[np.ndarray]]) -> dict[str, int]:
@@ -611,17 +555,15 @@ def socle_multiplicities(m: FpModule, lib: ModuleLibrary) -> dict[str, int]:
 
 # -- projective covers and syzygies -------------------------------------
 
-def _covered_tops(m: FpModule, lib: ModuleLibrary):
-    """Homs to the simples and top multiplicities of a nonzero module,
-    checked to have a nonzero top whose covers are all in the library."""
-    homs = _homs_to_simples(m, lib)
-    tops = _multiplicities(homs)
+def _covered(tops: dict[str, int], lib: ModuleLibrary) -> dict[str, int]:
+    """The top multiplicities of a nonzero module, checked to be nonzero and
+    to name only simples whose covers are in the library."""
     if not tops:
         raise ValueError("nonzero module with zero top; simples list incomplete?")
     for label in tops:
         if label not in lib.projectives:
             raise MissingProjective(label)
-    return homs, tops
+    return tops
 
 
 @dataclass
@@ -646,7 +588,8 @@ def _build_cover(m: FpModule, lib: ModuleLibrary) -> ProjectiveCover:
     f = m.field
     if m.dim == 0:
         return ProjectiveCover(zero_module_like(m), f.zeros(0, 0), [])
-    homs, tops = _covered_tops(m, lib)
+    homs = _homs_to_simples(m, lib)
+    tops = _covered(_multiplicities(homs), lib)
     # the stacked maps to the simples kill exactly the radical, so they
     # embed the top: an image there has the rank of its image in the top
     top = np.vstack([h for hs in homs.values() for h in hs])
@@ -743,8 +686,17 @@ def is_projective_module(m: FpModule, lib: ModuleLibrary) -> bool:
     """
     if m.dim == 0:
         return True
-    _, tops = _covered_tops(m, lib)
-    return m.dim == sum(k * lib.projectives[label].dim for label, k in tops.items())
+    return is_projective_by_tops(m, top_multiplicities(m, lib), lib)
+
+
+def is_projective_by_tops(m: FpModule, tops: dict[str, int], lib: ModuleLibrary) -> bool:
+    """The dimension count of is_projective_module, from the top multiplicities
+    of a nonzero module m however they were found.
+
+    Raises ValueError on a zero top and MissingProjective when a cover
+    the count needs is not in the library.
+    """
+    return m.dim == sum(k * lib.projectives[label].dim for label, k in _covered(tops, lib).items())
 
 
 # -- extensions ----------------------------------------------------------

@@ -39,7 +39,7 @@ from .modules import (
     ext1_cocycles,
     is_indecomposable,
     is_isomorphic,
-    is_projective_module,
+    is_projective_by_tops,
     quotient_by_columns,
     radical_submodule,
     restrict_labels,
@@ -521,6 +521,112 @@ def library(p: int, r: int) -> ModuleLibrary:
     return lib
 
 
+# -- tops of baby Vermas by Frobenius reciprocity -------------------------
+#
+# Z_r(lam) is induced from the upper Borel, so a map Z_r(lam) -> S is
+# fixed by the image w of the highest weight vector v, which is killed
+# by e and e_p, has h-weight lam_0 and, at r = 2, e_p f_p w = lam_1 w
+# (on such vectors e_p f_p acts as binom(h, p), which is lam_1 on v by
+# Lucas; Jantzen, Representations of Algebraic Groups, II.9).
+
+def _pbw_words(mod: FpModule, cols, r: int):
+    """The PBW words f^i_0 f_p^i_1 applied to the columns, as a stack
+    indexed by i = i_0 + p i_1 (f^i_0 alone at r = 1): f_p is pushed
+    through first, then f, in 2(p - 1) products."""
+    f = mod.field
+    words = cols[None]
+    for _, y in reversed(LEVELS[:r]):
+        powers = [words]
+        for _ in range(f.p - 1):
+            powers.append(f.matmul(mod.ops[y], powers[-1]))
+        words = np.stack(powers, axis=1).reshape(-1, *cols.shape)
+    return words
+
+
+def _highest_weight_vectors(s: FpModule, r: int) -> dict[int, np.ndarray]:
+    """For each lam < p^r, columns spanning the vectors w of s with
+    e w = 0 (and e_p w = 0 at r = 2), h w = lam_0 w and, at r = 2,
+    e_p f_p w = lam_1 w, where lam = lam_0 + p lam_1; only the nonzero
+    spans are kept.  One nullspace of the stacked raising operators per
+    h-weight class, and at r = 2 one per eigenvalue of e_p f_p."""
+    f = s.field
+    p = f.p
+    weights = s._diagonals["h"]
+    raising = np.vstack([s.ops[x] for x, _ in LEVELS[:r]])
+    out = {}
+    for a in range(p):
+        rows = np.flatnonzero(weights == a)
+        kernel = f.nullspace(raising[:, rows])
+        if not kernel.shape[1]:
+            continue
+        block = f.zeros(s.dim, kernel.shape[1])
+        block[rows] = kernel
+        if r == 1:
+            out[a] = block
+            continue
+        x, y = LEVELS[1]
+        moved = f.matmul(s.ops[x], f.matmul(s.ops[y], block))
+        for b in range(p):
+            split = f.nullspace(f.sub(moved, f.mul(block, b)))
+            if split.shape[1]:
+                out[a + p * b] = f.matmul(block, split)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reciprocity_blocks(p: int, r: int) -> dict[str, dict[int, np.ndarray]]:
+    """_highest_weight_vectors of every simple of library(p, r), once per level."""
+    return {key: _highest_weight_vectors(s, r) for key, s in library(p, r).simples.items()}
+
+
+def verma_tops(z: FpModule, lam: int) -> dict[str, int]:
+    """Top multiplicities of the baby Verma z = Z_r(lam) against library(p, r).
+
+    dim Hom(z, S) is the dimension of the span of the vectors w of S that
+    the highest weight vector v's relations allow (_highest_weight_vectors),
+    read without a solve.  Nothing assumes that theorem: z must have
+    v = m_0 satisfying those relations, and words f^i_0 f_p^i_1 carrying v
+    to c_i m_i with c_i nonzero, so every map is some phi_w, whose column
+    i is word i applied to w, over c_i; each phi_w of a basis of the span
+    must intertwine every label.  A failed check raises CertificateError.
+    """
+    schema = schema_of(z)
+    p, r = schema.p, schema.r
+    f = z.field
+    n = p**r
+    if not 0 <= lam < n:
+        raise ValueError(f"weight {lam} outside 0..{n - 1}")
+    if z.dim != n:
+        raise CertificateError(f"dim {z.dim} is not p^r = {n}, so no PBW basis from m_0")
+    v = f.zeros(n, 1)
+    v[0] = 1
+    # e v, e_p v, h v - lam_0 v and e_p f_p v - lam_1 v must all vanish
+    fails = [z.ops[x][:, :1] for x, _ in schema.levels] + [f.sub(z.ops["h"][:, :1], f.mul(v, lam))]
+    if r == 2:
+        x, y = LEVELS[1]
+        fails.append(f.sub(f.matmul(z.ops[x], z.ops[y][:, :1]), f.mul(v, lam // p)))
+    if any(np.any(a) for a in fails):
+        raise CertificateError(f"m_0 fails a highest weight relation of weight {lam}")
+    words = _pbw_words(z, v, r)[:, :, 0]
+    scale = np.diagonal(words)
+    if not np.array_equal(words, np.diag(scale)) or not scale.all():
+        raise CertificateError("the PBW words do not carry m_0 to nonzero multiples of the basis")
+    inverse = np.array([f.inv(c) for c in scale], dtype=np.int64)
+    sources = np.stack([z.ops[label] for label in schema.labels])
+    blocks = _reciprocity_blocks(p, r)
+    tops = {}
+    for key, s in library(p, r).simples.items():
+        block = blocks[key].get(lam)
+        if block is None:
+            continue
+        phis = f.mul(_pbw_words(s, block, r), inverse[:, None, None]).transpose(2, 1, 0)
+        targets = np.stack([s.ops[label] for label in schema.labels])
+        if not np.array_equal(f.matmul(phis[:, None], sources), f.matmul(targets, phis[:, None])):
+            raise CertificateError(f"a map Z({lam}) -> {key} from reciprocity fails to intertwine")
+        tops[key] = block.shape[1]
+    return tops
+
+
 # -- rank varieties -------------------------------------------------------
 
 @dataclass
@@ -616,9 +722,10 @@ def verify_vv6(p: int, r: int, seed: int = 0) -> CheckReport:
     """Projectivity of baby Vermas matches the arithmetic criterion.
 
     The induced module of weight lam is projective exactly when p^r
-    divides lam + 1.  At r = 2 the weights divisible once by p get an
-    extra case: the restriction to level 1 splits into p copies of the
-    top-weight simple.
+    divides lam + 1.  Its tops come from reciprocity (verma_tops), and
+    the dimension count of is_projective_module decides.  At r = 2 the
+    weights divisible once by p get an extra case: the restriction to
+    level 1 splits into p copies of the top-weight simple.
     """
     schema = Sl2Schema(p, r)
     lib = library(p, r)
@@ -626,7 +733,7 @@ def verify_vv6(p: int, r: int, seed: int = 0) -> CheckReport:
     for lam in range(p**r):
         z = build_verma(schema, lam)
         expected = (lam + 1) % p**r == 0
-        got = is_projective_module(z, lib)
+        got = is_projective_by_tops(z, verma_tops(z, lam), lib)
         cases.append(
             {
                 "lambda": lam,

@@ -74,6 +74,15 @@ def test_golden_verify_sl2(capsys):
     )
 
 
+@pytest.mark.parametrize("p", ["3", "5"])
+def test_golden_verify_sl2_level_two(capsys, p):
+    check_golden(
+        capsys,
+        ["verify-sl2", "--p", p, "--r", "2", "--json"],
+        f"verify_sl2_p{p}_r2.json",
+    )
+
+
 def test_golden_psi(capsys):
     check_golden(
         capsys,

@@ -53,8 +53,10 @@ def test_depth_survey_exits_two_on_bad_input(monkeypatch, capsys):
 
 
 def test_run_verification_times_each_suite(monkeypatch, capsys):
-    # a fake clock that each suite advances by its own index in seconds
-    from vermalab.sl2 import CheckReport
+    # a fake clock that each suite advances by its own index in seconds,
+    # and each level's library build by 10 s
+    from vermalab.modules import ModuleLibrary
+    from vermalab.sl2 import CheckReport, restricted_simples
 
     verification = load_script("run_verification")
     clock = [0.0]
@@ -66,7 +68,12 @@ def test_run_verification_times_each_suite(monkeypatch, capsys):
 
         return [lambda k=k: run(k) for k in (1, 2, 3)]
 
+    def library(p, r):
+        clock[0] += 10
+        return ModuleLibrary(restricted_simples(3))
+
     monkeypatch.setattr(verification, "level_suites", suites)
+    monkeypatch.setattr(verification, "library", library)
     monkeypatch.setattr(verification.time, "perf_counter", lambda: clock[0])
     monkeypatch.setattr(sys, "argv", ["run_verification.py", "--json"])
     assert verification.main() == 0
@@ -74,8 +81,11 @@ def test_run_verification_times_each_suite(monkeypatch, capsys):
 
     rows = json.loads(capsys.readouterr().out)["rows"]
     suite_rows = [row for row in rows if row["p"] is not None]
-    assert len(suite_rows) == 15
-    assert [row["seconds"] for row in suite_rows] == [1, 2, 3] * 5
+    assert len(suite_rows) == 20
+    assert [row["seconds"] for row in suite_rows] == [10, 1, 2, 3] * 5
+    libraries = [row for row in suite_rows if row["suite"] == "library"]
+    assert [(row["p"], row["r"]) for row in libraries] == [(3, 1), (3, 2), (5, 1), (5, 2), (7, 2)]
+    assert all(row["pass"] and row["cases"] == 3 for row in libraries)
 
 
 def test_run_verification_passes_under_optimized_python():

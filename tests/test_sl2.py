@@ -25,6 +25,7 @@ from vermalab.gf import GF
 from vermalab.modules import (
     CertificateError,
     FpModule,
+    MissingProjective,
     ModuleLibrary,
     SchemaMismatch,
     decompose,
@@ -33,6 +34,7 @@ from vermalab.modules import (
     hom_space,
     is_indecomposable,
     is_isomorphic,
+    is_projective_by_tops,
     is_projective_module,
     projective_cover,
     radical_submodule,
@@ -67,6 +69,7 @@ from vermalab.sl2 import (
     verify_dr2,
     verify_heart,
     verify_vv6,
+    verma_tops,
 )
 from vermalab.verma import depth
 
@@ -680,10 +683,12 @@ def test_level2_simples_build_each_padded_simple_once(monkeypatch):
 
 
 def test_battery_solves_each_hom_pair_once(monkeypatch):
-    # with every table and the memo cold, the battery's suites solve 327
-    # hom spaces, all distinct in content; 917 when every Hom(m, S) to a
-    # simple was solved, with no first-layer screen, and 1,064 with 147
-    # repeats when results were cached per module object
+    # with every table and the memo cold, the battery's suites solve 205
+    # hom spaces, all distinct in content, now that the Verma tops of the
+    # projectivity suite come from reciprocity; 327 when they were solved
+    # behind a first-layer screen, 917 when every Hom(m, S) to a simple
+    # was solved, and 1,064 with 147 repeats when results were cached per
+    # module object
     fresh_memo(monkeypatch)
     for name in (
         "restricted_simples",
@@ -692,6 +697,7 @@ def test_battery_solves_each_hom_pair_once(monkeypatch):
         "hyper_simples",
         "hyper_projectives",
         "library",
+        "_reciprocity_blocks",
     ):
         monkeypatch.setattr(vermalab.sl2, name, lru_cache(getattr(vermalab.sl2, name).__wrapped__))
     pairs = []
@@ -703,7 +709,7 @@ def test_battery_solves_each_hom_pair_once(monkeypatch):
     monkeypatch.setattr(vermalab.modules, "hom_space", counting)
     for p, r in ((3, 1), (3, 2), (5, 1), (5, 2)):
         assert all(rep.passed for rep in run_sl2_suites(p, r))
-    assert len(pairs) == len(set(pairs)) == 327
+    assert len(pairs) == len(set(pairs)) == 205
 
 
 def test_decompose_tries_the_end_basis_before_random_candidates(monkeypatch):
@@ -784,21 +790,47 @@ def test_level2_verma_tops_from_a_cold_memo(monkeypatch):
         assert top_multiplicities(build_verma(schema, lam), lib) == {simple_key(lam): 1}
 
 
-def test_first_layer_screen_skips_only_zero_hom_spaces(monkeypatch):
+def test_reciprocity_tops_match_solved_hom_spaces(monkeypatch):
     fresh_memo(monkeypatch)
-    ruled_out = 0
-    for p, r in ((3, 1), (5, 1), (3, 2)):
+    for p, r in ((3, 1), (3, 2), (5, 1), (5, 2)):
         schema, lib = Sl2Schema(p, r), library(p, r)
-        sources = [build_verma(schema, lam) for lam in range(p**r)]
-        sources += [*lib.simples.values(), *lib.projectives.values()]
-        for m in sources:
-            if len(m._spin_plan.generators) != 1:
-                continue
-            for s in lib.simples.values():
-                if vermalab.modules._first_layer_forces_zero(m, s):
-                    assert hom_space(m, s) == []
-                    ruled_out += 1
-    assert ruled_out > 100
+        for lam in range(p**r):
+            z = build_verma(schema, lam)
+            solved = {key: len(hom_space(z, s)) for key, s in lib.simples.items()}
+            assert verma_tops(z, lam) == {k: n for k, n in solved.items() if n}
+            assert verma_tops(z, lam) == {simple_key(lam): 1}
+
+
+def test_verma_tops_refuse_a_module_that_is_not_a_baby_verma():
+    s1, s2 = Sl2Schema(3, 1), Sl2Schema(3, 2)
+    with pytest.raises(CertificateError, match="not p\\^r"):
+        verma_tops(pad(build_simple(s1, 1), 2), 1)
+    # dimension p, and m_0 is the highest weight vector of L(1), whose
+    # words die after f^2
+    glued = direct_sum([build_simple(s1, 1), build_simple(s1, 0)])
+    with pytest.raises(CertificateError, match="PBW words"):
+        verma_tops(glued, 1)
+    z = build_verma(s2, 4)
+    # e_p f_p m_0 = e_p[0, 3] f_p[3, 0] m_0, which should be lam_1 = 1
+    changed = z.ops["e_p"].copy()
+    changed[0, 3] = 2
+    with pytest.raises(CertificateError, match="highest weight relation"):
+        verma_tops(FpModule(z.field, z.dim, {**z.ops, "e_p": changed}), 4)
+    # m_0's relations and words hold, but e is changed deeper in
+    changed = z.ops["e"].copy()
+    changed[4, 5] = (changed[4, 5] + 1) % 3
+    with pytest.raises(CertificateError, match="fails to intertwine"):
+        verma_tops(FpModule(z.field, z.dim, {**z.ops, "e": changed}), 4)
+
+
+def test_verify_vv6_refuses_a_library_without_a_needed_cover(monkeypatch):
+    lib = library(3, 1)
+    partial = ModuleLibrary(lib.simples, {k: q for k, q in lib.projectives.items() if k != "L1"})
+    monkeypatch.setattr(vermalab.sl2, "library", lambda p, r: partial)
+    with pytest.raises(MissingProjective, match="L1"):
+        verify_vv6(3, 1)
+    with pytest.raises(ValueError, match="zero top"):
+        is_projective_by_tops(build_verma(Sl2Schema(3, 1), 0), {}, lib)
 
 
 def test_two_generator_source_gets_the_tops_of_a_full_solve(monkeypatch):
